@@ -201,8 +201,11 @@ SimDuration MigrationCoordinator::CpuCost(double cpu_factor, uint64_t bytes,
   if (mbps <= 0 || bytes == 0) {
     return 0;
   }
+  // MiB/s, like MigrationManager's stage costs: the same work must take the
+  // same simulated time in a fleet run and in a single migration.
   const double factor = cpu_factor > 0 ? cpu_factor : 1.0;
-  return FromSecondsF(static_cast<double>(bytes) / (mbps * 1e6 * factor));
+  return FromSecondsF(static_cast<double>(bytes) / (mbps * 1024.0 * 1024.0) /
+                      factor);
 }
 
 bool MigrationCoordinator::RequestPairing(FleetDeviceId a, FleetDeviceId b) {
