@@ -92,7 +92,7 @@ class EventScheduler {
     // more parallelism per barrier); correctness never depends on it, but
     // it must stay below the minimum spacing between same-shard events
     // whose run phases share mutable state (the coordinator's tightest
-    // spacing is prepare_fixed = 140 ms).
+    // spacing is the cost model's kPrepareFixed = 140 ms).
     SimDuration lookahead = Millis(20);
   };
 

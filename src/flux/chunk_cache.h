@@ -23,6 +23,7 @@
 
 #include "src/base/bytes.h"
 #include "src/base/hash.h"
+#include "src/flux/cost_model.h"
 #include "src/flux/flight_recorder.h"
 #include "src/flux/trace.h"
 
@@ -30,9 +31,9 @@ namespace flux {
 
 // Raw bytes covered by one cache entry. Pairing-time seeding and the
 // migration engine must agree on this granularity or seeded entries can
-// never match an image chunk (MigrationConfig::pipeline_chunk_bytes
-// defaults to the same value).
-inline constexpr uint64_t kChunkCacheChunkBytes = 256 * 1024;
+// never match an image chunk, so it is the cost model's chunk size
+// (kMigrationChunkBytes, cost_model.h).
+inline constexpr uint64_t kChunkCacheChunkBytes = kMigrationChunkBytes;
 
 class ChunkCache {
  public:

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/base/bytes.h"
+#include "src/flux/cost_model.h"
 #include "src/flux/telemetry.h"
 
 namespace flux {
@@ -14,6 +15,12 @@ namespace {
 // Wire cost of a ref chunk: the 16-byte content hash the dedup path ships
 // instead of a chunk the guest cache already holds.
 constexpr uint64_t kRefBytes = 16;
+// Pairing framework sync: compressed wire bytes per pairing, the paper's
+// ~56 MB scaled by 0.02 for fleet runs.
+constexpr uint64_t kPairingWireBytes =
+    static_cast<uint64_t>(56.0 * 1024 * 1024 * 0.02);
+// Cadence of dirty-write bursts while a migration's pre-cut window runs.
+constexpr SimDuration kDirtyBurstPeriod = Millis(500);
 
 ByteSpan AsBytes(const std::string& s) {
   return ByteSpan(reinterpret_cast<const uint8_t*>(s.data()), s.size());
@@ -156,10 +163,10 @@ Hash128 MigrationCoordinator::ChunkHash(const std::string& seed) {
   return FluxHash128(AsBytes(seed));
 }
 
-uint32_t MigrationCoordinator::ChunkCount(const FleetApp& app) const {
-  const uint64_t chunk = std::max<uint64_t>(config_.chunk_bytes, 1);
-  return static_cast<uint32_t>(
-      std::max<uint64_t>(1, (app.spec.image_bytes + chunk - 1) / chunk));
+uint32_t MigrationCoordinator::ChunkCount(const FleetApp& app) {
+  return static_cast<uint32_t>(std::max<uint64_t>(
+      1, (app.spec.image_bytes + kMigrationChunkBytes - 1) /
+             kMigrationChunkBytes));
 }
 
 void MigrationCoordinator::AccrueDirt(FleetApp& app, SimTime upto) {
@@ -180,9 +187,8 @@ void MigrationCoordinator::AccrueDirt(FleetApp& app, SimTime upto) {
   const uint64_t written =
       app.dirt_carry_bytes +
       static_cast<uint64_t>(elapsed_s * app.spec.dirty_bytes_per_s);
-  const uint64_t chunk = std::max<uint64_t>(config_.chunk_bytes, 1);
-  uint64_t dirtied = written / chunk;
-  app.dirt_carry_bytes = written % chunk;
+  uint64_t dirtied = written / kMigrationChunkBytes;
+  app.dirt_carry_bytes = written % kMigrationChunkBytes;
   const uint32_t hot = std::max<uint32_t>(
       1, static_cast<uint32_t>(app.spec.hot_fraction * chunks));
   // More writes than the hot set in one window just re-dirties it; extra
@@ -194,18 +200,6 @@ void MigrationCoordinator::AccrueDirt(FleetApp& app, SimTime upto) {
     app.chunk_hashes[app.next_hot] = ChunkHash(
         ChunkSeed(app, app.next_hot, app.generations[app.next_hot]));
   }
-}
-
-SimDuration MigrationCoordinator::CpuCost(double cpu_factor, uint64_t bytes,
-                                          double mbps) const {
-  if (mbps <= 0 || bytes == 0) {
-    return 0;
-  }
-  // MiB/s, like MigrationManager's stage costs: the same work must take the
-  // same simulated time in a fleet run and in a single migration.
-  const double factor = cpu_factor > 0 ? cpu_factor : 1.0;
-  return FromSecondsF(static_cast<double>(bytes) / (mbps * 1024.0 * 1024.0) /
-                      factor);
 }
 
 bool MigrationCoordinator::RequestPairing(FleetDeviceId a, FleetDeviceId b) {
@@ -400,11 +394,9 @@ void MigrationCoordinator::AdmitMigration(PendingMigration req,
   // Compression cost is charged for the full image here; the manifest probe
   // at the cut decides what actually hits the wire.
   const SimDuration cpu_pre =
-      config_.prepare_fixed +
-      CpuCost(home.spec.cpu_factor, app.spec.image_bytes,
-              config_.serialize_mbps) +
-      CpuCost(home.spec.cpu_factor, app.spec.image_bytes,
-              config_.compress_mbps);
+      kPrepareFixed +
+      CpuCost(home.spec.cpu_factor, app.spec.image_bytes, kSerializeMbps) +
+      CpuCost(home.spec.cpu_factor, app.spec.image_bytes, kCompressMbps);
   const uint32_t shard = ShardOf(req.home);
   pending_migrations_[key] = std::make_unique<PendingMigration>(std::move(req));
   PendingMigration& live = *pending_migrations_[key];
@@ -412,7 +404,7 @@ void MigrationCoordinator::AdmitMigration(PendingMigration req,
   // phases only touch state this migration owns, so the parallel driver
   // may overlap them with other migrations' events.
   live.dirty_event = scheduler_->ScheduleStagedAfter(
-      config_.dirty_burst_period,
+      kDirtyBurstPeriod,
       StagedEvent{[this, key] { DirtyBurst(key); }, EventFn{}}, shard);
   scheduler_->ScheduleStagedAfter(
       cpu_pre,
@@ -430,7 +422,7 @@ void MigrationCoordinator::DirtyBurst(uint64_t migration_key) {
   AccrueDirt(*apps_[mig.app], now());
   FLUX_TRACE_COUNTER_ADD(ctr_dirty_bursts_, 1);
   mig.dirty_event = scheduler_->ScheduleStagedAfter(
-      config_.dirty_burst_period,
+      kDirtyBurstPeriod,
       StagedEvent{[this, migration_key] { DirtyBurst(migration_key); },
                   EventFn{}},
       ShardOf(mig.home));
@@ -471,17 +463,16 @@ void MigrationCoordinator::OnCheckpointCut(uint64_t migration_key) {
   FLUX_TRACE_COUNTER_ADD(ctr_warm_chunks_, mig.warm_chunks);
 
   const uint64_t cold_raw =
-      static_cast<uint64_t>(chunks - mig.warm_chunks) * config_.chunk_bytes;
+      static_cast<uint64_t>(chunks - mig.warm_chunks) * kMigrationChunkBytes;
   mig.wire_bytes =
       static_cast<uint64_t>(cold_raw * app.spec.compress_ratio) +
       static_cast<uint64_t>(mig.warm_chunks) * kRefBytes;
   // cpu_post: decompress the cold bytes + restore the image on the guest
   // CPU, plus reintegration.
   mig.cpu_post =
-      CpuCost(guest.spec.cpu_factor, cold_raw, config_.decompress_mbps) +
-      CpuCost(guest.spec.cpu_factor, app.spec.image_bytes,
-              config_.restore_mbps) +
-      config_.reintegrate_fixed;
+      CpuCost(guest.spec.cpu_factor, cold_raw, kDecompressMbps) +
+      CpuCost(guest.spec.cpu_factor, app.spec.image_bytes, kRestoreMbps) +
+      kReintegrateFixed;
 }
 
 void MigrationCoordinator::OnCheckpointCutCommit(uint64_t migration_key) {
@@ -611,12 +602,11 @@ void MigrationCoordinator::AdmitPairing(PendingPairing req) {
   ++active_pairings_;
   peak_concurrency_ =
       std::max(peak_concurrency_, active_migrations_ + active_pairings_);
-  const uint64_t wire = static_cast<uint64_t>(
-      static_cast<double>(config_.pairing_wire_bytes) * config_.pairing_scale);
   const FleetDevice& a = *devices_[req.a];
   const FleetDevice& b = *devices_[req.b];
   const uint64_t peak = std::min(a.spec.link_peak_bps, b.spec.link_peak_bps);
-  req.flow = fabric_->StartFlow(now(), wire, peak, a.spec.ap, b.spec.ap);
+  req.flow = fabric_->StartFlow(now(), kPairingWireBytes, peak, a.spec.ap,
+                               b.spec.ap);
   const ContendedFabric::FlowId flow = req.flow;
   pending_pairings_[key] = std::make_unique<PendingPairing>(std::move(req));
   if (flow == ContendedFabric::kInvalidFlow) {

@@ -88,26 +88,12 @@ struct FleetAppSpec {
   double compress_ratio = 0.45;
 };
 
+// Stage costs and the chunk size come from the shared cost model
+// (cost_model.h), the same numbers MigrationManager charges.
 struct CoordinatorConfig {
   // Global admission slots for migrations / pairings.
   int max_concurrent_migrations = 32;
   int max_concurrent_pairings = 16;
-  // Modeled chunk granularity; matches the dedup path's default.
-  uint64_t chunk_bytes = kChunkCacheChunkBytes;
-  // Modeled single-core stage throughputs (MB/s at cpu_factor 1.0) and
-  // fixed costs — the MigrationConfig numbers.
-  double serialize_mbps = 120.0;
-  double compress_mbps = 25.0;
-  double decompress_mbps = 25.0;
-  double restore_mbps = 35.0;
-  SimDuration prepare_fixed = Millis(140);
-  SimDuration reintegrate_fixed = Millis(160);
-  // Pairing framework sync: compressed wire bytes per pairing (the paper's
-  // ~56 MB at scale 1.0) and the scale knob.
-  uint64_t pairing_wire_bytes = 56 * 1024 * 1024;
-  double pairing_scale = 0.02;
-  // Cadence of dirty-write bursts while a migration's pre-cut window runs.
-  SimDuration dirty_burst_period = Millis(500);
   // Observability: fleet.* counters, fleet.queue_wait_us / fleet.concurrency
   // histograms, coordinator/* spans. Null = no tracing.
   Tracer* trace = nullptr;
@@ -207,7 +193,7 @@ class MigrationCoordinator {
   static std::string ChunkSeed(const FleetApp& app, uint32_t chunk,
                                uint32_t generation);
   static Hash128 ChunkHash(const std::string& seed);
-  uint32_t ChunkCount(const FleetApp& app) const;
+  static uint32_t ChunkCount(const FleetApp& app);
 
   // Applies the app's write load for the wall of time since its last
   // mutation point: bumps generations round-robin over the hot set.
@@ -241,8 +227,6 @@ class MigrationCoordinator {
   void FinishPairing(uint64_t pairing_key);
   void ScheduleFabricWakeup();
   void DirtyBurst(uint64_t migration_key);
-
-  SimDuration CpuCost(double cpu_factor, uint64_t bytes, double mbps) const;
 
   EventScheduler* scheduler_;
   ContendedFabric* fabric_;

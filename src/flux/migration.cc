@@ -29,13 +29,49 @@ uint64_t ManifestWireBytes(uint64_t chunk_count) {
   return 32 + 16 * chunk_count + 8 + (chunk_count + 7) / 8;
 }
 
-// CPU time to push `bytes` through a `mbps` pipeline on `device`.
+// The cost model's CpuCost at `device`'s CPU speed.
 SimDuration CpuCost(const Device& device, uint64_t bytes, double mbps) {
-  const double factor =
-      device.profile().cpu_factor > 0 ? device.profile().cpu_factor : 1.0;
-  const double seconds =
-      static_cast<double>(bytes) / (mbps * 1024.0 * 1024.0) / factor;
-  return FromSecondsF(seconds);
+  return flux::CpuCost(device.profile().cpu_factor, bytes, mbps);
+}
+
+// One chunk's CPU stage costs in the chunk pipeline. `kind` is how the
+// chunk travels: kLz (compressed), kStored (incompressible: the compress
+// attempt ran, the decode is a plain copy) or kRef (a cache reference: no
+// codec on either side). A `prewarmed` chunk was serialized and applied on
+// the guest during the pre-copy rounds, so both endpoints skip it.
+struct ChunkCpuCosts {
+  SimDuration serialize = 0;
+  SimDuration compress = 0;
+  SimDuration decompress = 0;
+  SimDuration restore = 0;
+};
+
+ChunkCpuCosts ChunkCosts(const Device& home, const Device& guest, uint64_t raw,
+                         LzChunkKind kind, bool compress_image,
+                         bool prewarmed) {
+  ChunkCpuCosts c;
+  c.serialize = prewarmed ? 0 : CpuCost(home, raw, kSerializeMbps);
+  // The compress stage fans out over the device's cores (quad-core
+  // baseline), which is what the host thread pool mirrors in wall time.
+  c.compress = compress_image && kind != LzChunkKind::kRef
+                   ? CpuCost(home, raw, kCompressMbps) / kCompressThreads
+                   : 0;
+  c.decompress = compress_image && kind == LzChunkKind::kLz
+                     ? CpuCost(guest, raw, kDecompressMbps)
+                     : 0;
+  c.restore = prewarmed ? 0 : CpuCost(guest, raw, kRestoreMbps);
+  return c;
+}
+
+// Wire-stage cost of the chunk at position `i` in a stream: its transfer
+// time, with the link latency charged once for the whole stream (chunk 0).
+SimDuration ChunkWireCost(const WifiNetwork& wifi, const EffectiveLink& link,
+                          uint64_t wire_bytes, size_t i) {
+  SimDuration cost = wifi.TransferTime(wire_bytes, link) - link.latency;
+  if (i == 0) {
+    cost += link.latency;
+  }
+  return cost;
 }
 
 // The write load of a prepared-but-still-running app during the pre-copy
@@ -177,22 +213,28 @@ SimDuration MigrationReport::PerceivedExcludingTransfer() const {
 MigrationManager::MigrationManager(FluxAgent& home, FluxAgent& guest,
                                    MigrationConfig config)
     : home_(home), guest_(guest), config_(config) {
-  if (config_.precopy) {
+  if (config_.precopy || config_.resume) {
     // Pre-copy rides on the chunked pipeline and the content-addressed
     // cache: rounds warm the guest cache, and the final stop-and-copy
-    // ships warmed chunks as refs.
+    // ships warmed chunks as refs. Resume acks against the chunk
+    // manifest, so it needs both as well.
     config_.pipelined = true;
     config_.chunk_dedup = true;
   }
-  if (config_.resume) {
-    // Resume acks against the chunk manifest, so it needs the chunked
-    // stream and the content-addressed cache.
+  if (!config_.net_profile.IsClean()) {
+    // The frame codec runs per chunk of the stream.
     config_.pipelined = true;
-    config_.chunk_dedup = true;
   }
+  frame_options_.frame_payload_bytes = config_.frame_payload_bytes;
+  frame_options_.fec = config_.fec;
 }
 
 MigrationManager::~MigrationManager() = default;
+
+uint64_t MigrationManager::Charged(uint64_t bytes) const {
+  return config_.net_profile.IsClean() ? bytes
+                                       : FramedWireBytes(bytes, frame_options_);
+}
 
 ThreadPool* MigrationManager::CompressionPool() {
   if (config_.compress_pool != nullptr) {
@@ -202,7 +244,7 @@ ThreadPool* MigrationManager::CompressionPool() {
   // the same workers instead of spawning pool-per-device threads. The
   // encoded output is a pure function of the input and pool width, so
   // sharing changes no bytes.
-  return ThreadPool::Shared(config_.compress_threads);
+  return ThreadPool::Shared(kCompressThreads);
 }
 
 Status MigrationManager::Prepare(const RunningApp& app,
@@ -214,9 +256,7 @@ Status MigrationManager::Prepare(const RunningApp& app,
   // 1. Background the app: resumed activities pause, then the task idler
   //    stops them and the WindowManager frees their surfaces.
   FLUX_RETURN_IF_ERROR(device.activity_manager().MoveAppToBackground(app.pid));
-  if (config_.wait_for_task_idler) {
-    clock.Advance(device.activity_manager().idle_stop_delay());
-  }
+  clock.Advance(device.activity_manager().idle_stop_delay());
   device.activity_manager().RunTaskIdler();
 
   // 2. Trim memory at the highest severity: flush renderer caches, destroy
@@ -231,7 +271,7 @@ Status MigrationManager::Prepare(const RunningApp& app,
     FLUX_RETURN_IF_ERROR(device.egl().EglUnload(pid));
   }
 
-  device.context().SpendCpu(config_.prepare_fixed);
+  device.context().SpendCpu(kPrepareFixed);
   return OkStatus();
 }
 
@@ -263,7 +303,7 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     // Pipelined mode charges serialize (and compress) per chunk from the
     // overlapped stage schedule in TransferPipelined, not up front.
     device.context().SpendCpu(
-        CpuCost(device, cria.image.size(), config_.serialize_mbps));
+        CpuCost(device, cria.image.size(), kSerializeMbps));
   }
 
   ArchiveWriter payload;
@@ -288,9 +328,7 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
   if (config_.pipelined) {
     PipelineStats& stats = report.pipeline;
     stats.enabled = true;
-    stats.chunk_bytes = std::clamp<uint64_t>(config_.pipeline_chunk_bytes,
-                                             4 * 1024, 64ull * 1024 * 1024);
-    const uint32_t chunk_size = static_cast<uint32_t>(stats.chunk_bytes);
+    stats.chunk_bytes = kMigrationChunkBytes;
     if (config_.compress_image) {
       const ByteSpan image_span(cria.image.data(), cria.image.size());
       LzChunkDedupPlan plan;
@@ -303,7 +341,7 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
         DedupStats& dedup = report.dedup;
         dedup.enabled = true;
         plan.stored_fallback = true;
-        plan.hashes = LzChunkHashes(image_span, chunk_size);
+        plan.hashes = LzChunkHashes(image_span, kMigrationChunkBytes);
         plan.ref_chunks.assign(plan.hashes.size(), 0);
         // The resume handshake re-offers exactly this manifest.
         payload_chunk_hashes_ = plan.hashes;
@@ -317,8 +355,8 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
         ChunkCache& guest_cache = guest_.chunk_cache();
         ChunkCache& home_cache = home_.chunk_cache();
         for (size_t i = 0; i < plan.hashes.size(); ++i) {
-          const uint64_t begin = uint64_t{i} * stats.chunk_bytes;
-          const uint64_t len = std::min<uint64_t>(stats.chunk_bytes,
+          const uint64_t begin = uint64_t{i} * kMigrationChunkBytes;
+          const uint64_t len = std::min<uint64_t>(kMigrationChunkBytes,
                                                   image_span.size() - begin);
           const ByteSpan chunk(image_span.data() + begin, len);
           if (guest_cache.HasValid(plan.hashes[i])) {
@@ -330,7 +368,7 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
         }
       }
       LzChunkStreams streams = LzCompressChunkStreamsDeduped(
-          image_span, chunk_size, CompressionPool(), plan);
+          image_span, kMigrationChunkBytes, CompressionPool(), plan);
       Bytes().swap(cria.image);  // the streams carry the content now
       stats.chunk_count = static_cast<uint32_t>(streams.chunks.size());
       stats.chunk_kind = streams.kinds;
@@ -356,12 +394,12 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     } else {
       const uint64_t raw = cria.image.size();
       stats.chunk_count = static_cast<uint32_t>(
-          raw == 0 ? 0 : (raw + stats.chunk_bytes - 1) / stats.chunk_bytes);
+          (raw + kMigrationChunkBytes - 1) / kMigrationChunkBytes);
       stats.chunk_wire_bytes.reserve(stats.chunk_count);
       for (uint32_t i = 0; i < stats.chunk_count; ++i) {
         stats.chunk_wire_bytes.push_back(
-            std::min<uint64_t>(stats.chunk_bytes,
-                               raw - uint64_t{i} * stats.chunk_bytes));
+            std::min<uint64_t>(kMigrationChunkBytes,
+                               raw - uint64_t{i} * kMigrationChunkBytes));
       }
       report.image_compressed_bytes = raw;
       payload.PutBool(false);
@@ -376,7 +414,7 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     Bytes compressed = LzCompress(
         ByteSpan(cria.image.data(), cria.image.size()));
     device.context().SpendCpu(
-        CpuCost(device, report.image_raw_bytes, config_.compress_mbps));
+        CpuCost(device, report.image_raw_bytes, kCompressMbps));
     report.compress.end = device.clock().now();
     // The raw image is dead once compressed; free it before the payload
     // append so peak checkpoint memory stays ~1x the image, not ~3x.
@@ -415,25 +453,19 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
   // workload's rate from every AdvanceWithTicks slice below.
   PrecopyWriteLoad load(device, pids, spec);
   precopy_mutator_ = [&load](SimDuration elapsed) { load.Apply(elapsed); };
+  // Every early return also stops the write load (it points at `load`).
+  struct MutatorReset {
+    std::function<void(SimDuration)>& mutator;
+    ~MutatorReset() { mutator = nullptr; }
+  } mutator_reset{precopy_mutator_};
 
-  const uint32_t chunk_size = static_cast<uint32_t>(std::clamp<uint64_t>(
-      config_.pipeline_chunk_bytes, 4 * 1024, 64ull * 1024 * 1024));
+  // Hostile profile: round traffic is charged framed (Charged(): arithmetic
+  // — the per-frame codec runs only in the stop-and-copy); clean leaves
+  // every byte count identical.
   const EffectiveLink link = wifi.LinkBetween(device.profile().radio,
                                               guest_device.profile().radio);
-  // Hostile profile: round traffic is charged framed (arithmetic — the
-  // per-frame codec runs only in the stop-and-copy); clean leaves every
-  // byte count identical.
-  const bool shaped = !config_.net_profile.IsClean();
-  FrameStreamOptions fopts;
-  fopts.frame_payload_bytes = config_.frame_payload_bytes;
-  fopts.fec_group_data_frames = config_.fec_group_data_frames;
-  fopts.fec = config_.fec;
-  auto charged = [&](uint64_t bytes) {
-    return shaped ? FramedWireBytes(bytes, fopts) : bytes;
-  };
   ChunkCache& guest_cache = guest_.chunk_cache();
   ChunkCache& home_cache = home_.chunk_cache();
-  const int cores = std::clamp(config_.compress_threads, 1, 4);
 
   Bytes current;             // the image as of the latest cut
   uint64_t epoch = 0;        // dirty epoch opened at that cut
@@ -482,7 +514,8 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     // its chunk if the bytes actually changed, so the pending set (not
     // DirtyBytesSince) is what termination must reason about.
     const ByteSpan image_span(current.data(), current.size());
-    const std::vector<Hash128> hashes = LzChunkHashes(image_span, chunk_size);
+    const std::vector<Hash128> hashes =
+        LzChunkHashes(image_span, kMigrationChunkBytes);
     r.chunk_count = static_cast<uint32_t>(hashes.size());
     struct Planned {
       size_t index;
@@ -492,9 +525,9 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     };
     std::vector<Planned> plan_chunks;
     for (size_t i = 0; i < hashes.size(); ++i) {
-      const uint64_t begin = uint64_t{i} * chunk_size;
+      const uint64_t begin = uint64_t{i} * kMigrationChunkBytes;
       const uint64_t len =
-          std::min<uint64_t>(chunk_size, image_span.size() - begin);
+          std::min<uint64_t>(kMigrationChunkBytes, image_span.size() - begin);
       if (guest_cache.HasValid(hashes[i])) {
         continue;
       }
@@ -519,12 +552,11 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     // the stop-and-copy; everything else rides the cache as refs.
     uint64_t pending_wire = 0;
     for (const Planned& p : plan_chunks) {
-      pending_wire += charged(p.wire);
+      pending_wire += Charged(p.wire);
     }
-    r.est_stop_copy =
-        CpuCost(device, r.pending_raw_bytes, config_.serialize_mbps) +
-        wifi.TransferTime(pending_wire, link) +
-        CpuCost(guest_device, r.pending_raw_bytes, config_.restore_mbps);
+    r.est_stop_copy = CpuCost(device, r.pending_raw_bytes, kSerializeMbps) +
+                      wifi.TransferTime(pending_wire, link) +
+                      CpuCost(guest_device, r.pending_raw_bytes, kRestoreMbps);
     FLUX_EVENT(home_rec, flight_events::kSubMigration,
                flight_events::kMigrationPrecopyRound, EventSeverity::kInfo,
                static_cast<uint64_t>(round), r.pending_raw_bytes);
@@ -538,8 +570,7 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     }
     if (round > 0 && pending_prev > 0 &&
         static_cast<double>(r.pending_raw_bytes) >
-            config_.precopy_min_round_shrink *
-                static_cast<double>(pending_prev)) {
+            kPrecopyMinRoundShrink * static_cast<double>(pending_prev)) {
       stop_reason = StrFormat(
           "pending set stopped shrinking (%llu -> %llu bytes in round %d)",
           static_cast<unsigned long long>(pending_prev),
@@ -563,7 +594,7 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
         guest_cache.Insert(hashes[p.index], chunk);
       }
       r.raw_bytes_sent += p.len;
-      r.wire_bytes += charged(p.wire);
+      r.wire_bytes += Charged(p.wire);
     }
     r.chunks_sent = static_cast<uint32_t>(plan_chunks.size());
 
@@ -571,70 +602,51 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     // decompress schedule (no restore stage: the guest only caches). The
     // app keeps mutating while this advances — that is the race pre-copy
     // iterates against.
-    {
-      std::vector<PipelineStageModel> stages(4);
-      stages[0].name = "serialize";
-      stages[1].name = "compress";
-      stages[2].name = "wire";
-      stages[3].name = "decompress";
-      for (auto& stage : stages) {
-        stage.chunk_cost.reserve(plan_chunks.size());
+    std::vector<PipelineStageModel> stages(4);
+    stages[0].name = "serialize";
+    stages[1].name = "compress";
+    stages[2].name = "wire";
+    stages[3].name = "decompress";
+    for (size_t i = 0; i < plan_chunks.size(); ++i) {
+      const Planned& p = plan_chunks[i];
+      // Pending chunks are guest-cache misses: never refs, and stored
+      // exactly when compression did not shrink them.
+      const ChunkCpuCosts cost = ChunkCosts(
+          device, guest_device, p.len,
+          p.wire < p.len ? LzChunkKind::kLz : LzChunkKind::kStored,
+          config_.compress_image, /*prewarmed=*/false);
+      stages[0].chunk_cost.push_back(cost.serialize);
+      stages[1].chunk_cost.push_back(cost.compress);
+      stages[2].chunk_cost.push_back(
+          ChunkWireCost(wifi, link, Charged(p.wire), i));
+      stages[3].chunk_cost.push_back(cost.decompress);
+    }
+    const PipelinePlan plan = SchedulePipeline(stages);
+    if (!config_.resume) {
+      if (!AdvanceWithTicks(t0 + plan.makespan, &wifi)) {
+        return Unavailable("network lost during pre-copy round");
       }
+    } else {
+      // Chunk-granular round pacing: advance to each chunk's wire-stage
+      // finish, deliver it into the guest cache, and ride out outages
+      // with the resume handshake — the round continues where it stopped
+      // instead of aborting the migration.
+      constexpr size_t kWireStage = 2;
+      ResumableStream stream{wifi, link, hashes,
+                             "network lost during pre-copy round"};
       for (size_t i = 0; i < plan_chunks.size(); ++i) {
         const Planned& p = plan_chunks[i];
-        stages[0].chunk_cost.push_back(
-            CpuCost(device, p.len, config_.serialize_mbps));
-        stages[1].chunk_cost.push_back(
-            config_.compress_image
-                ? CpuCost(device, p.len, config_.compress_mbps) / cores
-                : 0);
-        SimDuration wire_cost =
-            wifi.TransferTime(charged(p.wire), link) - link.latency;
-        if (i == 0) {
-          wire_cost += link.latency;
-        }
-        stages[2].chunk_cost.push_back(wire_cost);
-        stages[3].chunk_cost.push_back(
-            config_.compress_image && p.wire < p.len
-                ? CpuCost(guest_device, p.len, config_.decompress_mbps)
-                : 0);
+        FLUX_RETURN_IF_ERROR(AdvanceStream(stream,
+                                           t0 + plan.finish[kWireStage][i],
+                                           Charged(p.wire), report));
+        guest_cache.Insert(hashes[p.index],
+                           ByteSpan(image_span.data() + p.begin, p.len));
       }
-      const PipelinePlan plan = SchedulePipeline(stages);
-      if (!config_.resume) {
-        if (!AdvanceWithTicks(t0 + plan.makespan, &wifi)) {
-          precopy_mutator_ = nullptr;
-          return Unavailable("network lost during pre-copy round");
-        }
-      } else {
-        // Chunk-granular round pacing: advance to each chunk's wire-stage
-        // finish, deliver it into the guest cache, and ride out outages
-        // with the resume handshake — the round continues where it stopped
-        // instead of aborting the migration (PR 6 follow-up).
-        constexpr size_t kWireStage = 2;
-        SimDuration round_extra = 0;
-        for (size_t i = 0; i < plan_chunks.size(); ++i) {
-          const Planned& p = plan_chunks[i];
-          while (!AdvanceWithTicks(
-              t0 + plan.finish[kWireStage][i] + round_extra, &wifi)) {
-            auto resumed =
-                ResumeAfterOutage(wifi, link, hashes, charged(p.wire),
-                                  "network lost during pre-copy round",
-                                  report);
-            if (!resumed.ok()) {
-              precopy_mutator_ = nullptr;
-              return resumed.status();
-            }
-            round_extra += resumed.value().extra;
-            r.wire_bytes += resumed.value().wire_bytes;
-          }
-          guest_cache.Insert(hashes[p.index],
-                             ByteSpan(image_span.data() + p.begin, p.len));
-        }
-        AdvanceWithTicks(t0 + plan.makespan + round_extra);
-      }
-      wifi.AccountTraffic(r.wire_bytes);
-      pre.wire_bytes += r.wire_bytes;
+      AdvanceWithTicks(t0 + plan.makespan + stream.extra);
+      r.wire_bytes += stream.extra_wire;
     }
+    wifi.AccountTraffic(r.wire_bytes);
+    pre.wire_bytes += r.wire_bytes;
     r.interval.end = clock.now();
     pre.rounds.push_back(r);
   }
@@ -745,13 +757,12 @@ bool MigrationManager::AdvanceWithTicks(SimTime target, WifiNetwork* watch) {
   Device& home_device = home_.device();
   Device& guest_device = guest_.device();
   SimClock& clock = home_device.clock();
-  const SimDuration slice =
-      config_.transfer_tick > 0 ? config_.transfer_tick : Millis(250);
   while (clock.now() < target) {
     if (watch != nullptr && !watch->UpAt(clock.now())) {
       return false;
     }
-    const SimDuration step = std::min<SimDuration>(slice, target - clock.now());
+    const SimDuration step =
+        std::min<SimDuration>(kTransferTick, target - clock.now());
     clock.Advance(step);
     if (precopy_mutator_) {
       // Pre-copy rounds only: the app is still running at home and keeps
@@ -769,82 +780,86 @@ bool MigrationManager::AdvanceWithTicks(SimTime target, WifiNetwork* watch) {
   return watch == nullptr || watch->UpAt(clock.now());
 }
 
-Result<MigrationManager::ResumeOutcome> MigrationManager::ResumeAfterOutage(
-    WifiNetwork& wifi, const EffectiveLink& link,
-    const std::vector<Hash128>& manifest, uint64_t resend_wire,
-    const char* fail_msg, MigrationReport& report) {
+Status MigrationManager::AdvanceStream(ResumableStream& stream, SimTime target,
+                                       uint64_t resend_wire,
+                                       MigrationReport& report) {
   SimClock& clock = home_.device().clock();
+  WifiNetwork& wifi = stream.wifi;
+  const EffectiveLink& link = stream.link;
   ResumeStats& res = report.resume;
-  ++res.interruptions;
-  if (!config_.resume) {
-    return Unavailable(fail_msg);
-  }
-  if (static_cast<int>(res.attempts) >= config_.resume_max_attempts) {
-    return Unavailable(StrFormat(
-                           "resume attempt budget (%d) exhausted",
-                           config_.resume_max_attempts))
-        .WithCause(Unavailable(fail_msg));
-  }
-  const SimTime down_at = clock.now();
-  SimTime recovery = 0;
-  if (!wifi.NextUpAt(down_at, &recovery)) {
-    return Unavailable("link lost permanently; nothing to resume to")
-        .WithCause(Unavailable(fail_msg));
-  }
-  if (recovery - down_at > static_cast<SimTime>(config_.resume_wait_max)) {
-    return Unavailable(
-               StrFormat("outage outlasts resume_wait_max (%.1f s down)",
-                         ToSecondsF(static_cast<SimDuration>(recovery -
-                                                             down_at))))
-        .WithCause(Unavailable(fail_msg));
-  }
-  res.enabled = true;
-  TimedInterval stall;
-  stall.begin = down_at;
-  // Wait out the outage; both devices keep ticking (and a pre-copy app
-  // keeps dirtying its heap — the stall is part of the round's race).
-  AdvanceWithTicks(recovery);
-  ++res.attempts;
-
-  // The handshake (PROTOCOL.md §8): one kResumeOffer frame carrying the
-  // manifest out, one kResumeAck frame carrying the availability bitmap
-  // back. Same shape as the dedup manifest exchange, plus frame headers;
-  // the offer header carries the 16-byte trace-context field (§7.1), so
-  // the resumed transfer re-joins the same causal trace on the guest.
-  const uint64_t n = manifest.size();
-  const uint64_t offer_bytes = kFrameHeaderSize + 32 + 16 * n;
-  const uint64_t ack_bytes = kFrameHeaderSize + 8 + (n + 7) / 8;
-  const SimDuration handshake =
-      wifi.TransferTime(offer_bytes, link) + wifi.TransferTime(ack_bytes, link);
-  AdvanceWithTicks(clock.now() + handshake);
-  res.handshake_wire_bytes += offer_bytes + ack_bytes;
-
-  // The ack: chunks the guest's cache already holds — everything delivered
-  // before the outage plus anything warm from earlier hops — never travel
-  // again. Only the chunk that was in flight re-sends, in full.
-  uint32_t acked = 0;
-  for (const Hash128& hash : manifest) {
-    if (guest_.chunk_cache().HasValid(hash)) {
-      ++acked;
+  while (!AdvanceWithTicks(target + stream.extra, &wifi)) {
+    ++res.interruptions;
+    if (!config_.resume) {
+      return Unavailable(stream.fail_msg);
     }
-  }
-  res.chunks_acked += acked;
-  res.lost_bytes += resend_wire;
-  res.retransmit_bytes += resend_wire;
-  stall.end = clock.now();
-  res.stalls.push_back(stall);
-  res.stalled += stall.end - stall.begin;
-  FLUX_EVENT(&home_.device().flight_recorder(), flight_events::kSubMigration,
-             flight_events::kMigrationResume, EventSeverity::kWarning,
-             res.attempts, acked);
+    if (static_cast<int>(res.attempts) >= kResumeMaxAttempts) {
+      return Unavailable(StrFormat("resume attempt budget (%d) exhausted",
+                                   kResumeMaxAttempts))
+          .WithCause(Unavailable(stream.fail_msg));
+    }
+    const SimTime down_at = clock.now();
+    SimTime recovery = 0;
+    if (!wifi.NextUpAt(down_at, &recovery)) {
+      return Unavailable("link lost permanently; nothing to resume to")
+          .WithCause(Unavailable(stream.fail_msg));
+    }
+    if (recovery - down_at > static_cast<SimTime>(config_.resume_wait_max)) {
+      return Unavailable(
+                 StrFormat("outage outlasts resume_wait_max (%.1f s down)",
+                           ToSecondsF(static_cast<SimDuration>(recovery -
+                                                               down_at))))
+          .WithCause(Unavailable(stream.fail_msg));
+    }
+    res.enabled = true;
+    TimedInterval stall;
+    stall.begin = down_at;
+    // Wait out the outage; both devices keep ticking (and a pre-copy app
+    // keeps dirtying its heap — the stall is part of the round's race).
+    AdvanceWithTicks(recovery);
+    ++res.attempts;
 
-  ResumeOutcome out;
-  out.wire_bytes = offer_bytes + ack_bytes + resend_wire;
-  out.extra = (stall.end - stall.begin) +
-              (resend_wire > 0
-                   ? wifi.TransferTime(resend_wire, link) - link.latency
-                   : 0);
-  return out;
+    // The handshake (PROTOCOL.md §8): one kResumeOffer frame carrying the
+    // manifest out, one kResumeAck frame carrying the availability bitmap
+    // back. Same shape as the dedup manifest exchange, plus frame headers;
+    // the offer header carries the 16-byte trace-context field (§7.1), so
+    // the resumed transfer re-joins the same causal trace on the guest.
+    const uint64_t n = stream.manifest.size();
+    const uint64_t offer_bytes = kFrameHeaderSize + 32 + 16 * n;
+    const uint64_t ack_bytes = kFrameHeaderSize + 8 + (n + 7) / 8;
+    const SimDuration handshake = wifi.TransferTime(offer_bytes, link) +
+                                  wifi.TransferTime(ack_bytes, link);
+    AdvanceWithTicks(clock.now() + handshake);
+    res.handshake_wire_bytes += offer_bytes + ack_bytes;
+
+    // The ack: chunks the guest's cache already holds — everything
+    // delivered before the outage plus anything warm from earlier hops —
+    // never travel again. Only the chunk that was in flight re-sends, in
+    // full.
+    uint32_t acked = 0;
+    for (const Hash128& hash : stream.manifest) {
+      if (guest_.chunk_cache().HasValid(hash)) {
+        ++acked;
+      }
+    }
+    res.chunks_acked += acked;
+    res.lost_bytes += resend_wire;
+    res.retransmit_bytes += resend_wire;
+    stall.end = clock.now();
+    res.stalls.push_back(stall);
+    res.stalled += stall.end - stall.begin;
+    FLUX_EVENT(&home_.device().flight_recorder(), flight_events::kSubMigration,
+               flight_events::kMigrationResume, EventSeverity::kWarning,
+               res.attempts, acked);
+
+    // The rest of the stream shifts by the stall, the handshake and the
+    // in-flight re-send.
+    stream.extra_wire += offer_bytes + ack_bytes + resend_wire;
+    stream.extra += (stall.end - stall.begin) +
+                    (resend_wire > 0
+                         ? wifi.TransferTime(resend_wire, link) - link.latency
+                         : 0);
+  }
+  return OkStatus();
 }
 
 Status MigrationManager::Transfer(const RunningApp& app, const AppSpec& spec,
@@ -860,23 +875,6 @@ Status MigrationManager::Transfer(const RunningApp& app, const AppSpec& spec,
   FLUX_ASSIGN_OR_RETURN(AppDataSync sync, SyncAppData(app, spec, report));
   report.data_sync_bytes = sync.total();
   report.total_wire_bytes = report.data_sync_bytes + payload_bytes;
-  if (!config_.net_profile.IsClean()) {
-    // Serial path, mean-field model: framing overhead plus expected-loss
-    // retransmissions as deterministic arithmetic (the pipelined path runs
-    // the real per-frame codec; DESIGN.md §13). Jitter and rate dips are
-    // folded into the delivery rate, not drawn per frame.
-    FrameStreamOptions fopts;
-    fopts.frame_payload_bytes = config_.frame_payload_bytes;
-    fopts.fec_group_data_frames = config_.fec_group_data_frames;
-    fopts.fec = config_.fec;
-    const double delivery =
-        1.0 - std::min(0.9, config_.net_profile.MeanLossRate());
-    report.total_wire_bytes = static_cast<uint64_t>(std::ceil(
-        static_cast<double>(FramedWireBytes(report.total_wire_bytes, fopts)) /
-        delivery));
-    report.frame_wire.enabled = true;
-    report.frame_wire.wire_bytes = report.total_wire_bytes;
-  }
 
   const EffectiveLink link = home_device.wifi().LinkBetween(
       home_device.profile().radio, guest_device.profile().radio);
@@ -884,8 +882,8 @@ Status MigrationManager::Transfer(const RunningApp& app, const AppSpec& spec,
   // ticking both devices so task idlers run and due alarms fire at the
   // right simulated time.
   const bool delivered = home_device.wifi().TransferWithTicks(
-      home_device.clock(), report.total_wire_bytes, link,
-      config_.transfer_tick, [&home_device, &guest_device] {
+      home_device.clock(), report.total_wire_bytes, link, kTransferTick,
+      [&home_device, &guest_device] {
         home_device.Tick();
         guest_device.Tick();
       });
@@ -909,16 +907,9 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // Hostile-network path (DESIGN.md §13): a non-clean profile frames every
   // wire byte and runs the real frame codec per chunk; resume additionally
   // rides out recoverable outages. Both off (the default) leaves this
-  // function byte-identical to the baseline schedule — `charged` is the
-  // identity and every new branch below is dead.
+  // function byte-identical to the baseline schedule — Charged() is the
+  // identity and the shaper never runs.
   const bool shaped = !config_.net_profile.IsClean();
-  FrameStreamOptions fopts;
-  fopts.frame_payload_bytes = config_.frame_payload_bytes;
-  fopts.fec_group_data_frames = config_.fec_group_data_frames;
-  fopts.fec = config_.fec;
-  auto charged = [&](uint64_t bytes) {
-    return shaped ? FramedWireBytes(bytes, fopts) : bytes;
-  };
   if (config_.resume) {
     report.resume.enabled = true;
   }
@@ -971,7 +962,7 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
                std::ceil(static_cast<double>(count) * fraction)));
     foreground_chunks = std::min(foreground_chunks, count);
     for (size_t i = foreground_chunks; i < count; ++i) {
-      report.deferred_bytes += charged(stats.chunk_wire_bytes[i]);
+      report.deferred_bytes += Charged(stats.chunk_wire_bytes[i]);
     }
   }
   // The manifest handshake (hashes out, availability bitmap back) is real
@@ -981,19 +972,16 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // frames (kManifest + kManifestAck).
   uint64_t container_charged = 0;
   for (const uint64_t wire : stats.chunk_wire_bytes) {
-    container_charged += charged(wire);
+    container_charged += Charged(wire);
   }
   const uint64_t manifest_charged =
       report.dedup.manifest_wire_bytes +
       (shaped && report.dedup.enabled ? 2 * kFrameHeaderSize : 0);
   const uint64_t foreground_wire = report.data_sync_bytes +
-                                   charged(prefix_payload) + container_charged -
+                                   Charged(prefix_payload) + container_charged -
                                    report.deferred_bytes + manifest_charged;
 
-  // Per-chunk stage costs from the same models as the serial path. The
-  // compress stage fans out over the device's cores (quad-core baseline),
-  // which is what the host thread pool mirrors in wall-clock time.
-  const int cores = std::clamp(config_.compress_threads, 1, 4);
+  // Per-chunk stage costs from the shared cost model.
   std::vector<PipelineStageModel> stages(5);
   stages[0].name = "serialize";
   stages[1].name = "compress";
@@ -1005,8 +993,8 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   }
   for (size_t i = 0; i < count; ++i) {
     const uint64_t raw_i = std::min<uint64_t>(
-        stats.chunk_bytes,
-        report.image_raw_bytes - uint64_t{i} * stats.chunk_bytes);
+        kMigrationChunkBytes,
+        report.image_raw_bytes - uint64_t{i} * kMigrationChunkBytes);
     // Dedup mode: a ref chunk never runs the codec — the home side ships
     // its hash and the guest memcpys verified cache content. A stored
     // chunk still paid the compress attempt (that is how it was found
@@ -1018,39 +1006,29 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
     // dirty bitmap proves it unchanged since), and the guest applied its
     // cached content then too — both endpoints skip it in the stop-and-copy.
     const bool prewarmed = config_.precopy && kind == LzChunkKind::kRef;
-    stages[0].chunk_cost.push_back(
-        prewarmed ? 0 : CpuCost(home_device, raw_i, config_.serialize_mbps));
-    stages[1].chunk_cost.push_back(
-        config_.compress_image && kind != LzChunkKind::kRef
-            ? CpuCost(home_device, raw_i, config_.compress_mbps) / cores
-            : 0);
-    SimDuration wire_cost =
+    const ChunkCpuCosts cost = ChunkCosts(home_device, guest_device, raw_i,
+                                          kind, config_.compress_image,
+                                          prewarmed);
+    stages[0].chunk_cost.push_back(cost.serialize);
+    stages[1].chunk_cost.push_back(cost.compress);
+    stages[2].chunk_cost.push_back(
         i < foreground_chunks
-            ? wifi.TransferTime(charged(stats.chunk_wire_bytes[i]), link) -
-                  link.latency
-            : 0;
-    if (i == 0) {
-      wire_cost += link.latency;  // one stream handshake, not one per chunk
-    }
-    stages[2].chunk_cost.push_back(wire_cost);
-    stages[3].chunk_cost.push_back(
-        config_.compress_image && kind == LzChunkKind::kLz
-            ? CpuCost(guest_device, raw_i, config_.decompress_mbps)
+            ? ChunkWireCost(wifi, link, Charged(stats.chunk_wire_bytes[i]), i)
             : 0);
-    stages[4].chunk_cost.push_back(
-        prewarmed ? 0 : CpuCost(guest_device, raw_i, config_.restore_mbps));
+    stages[3].chunk_cost.push_back(cost.decompress);
+    stages[4].chunk_cost.push_back(cost.restore);
   }
   // The wire is busy before chunk 0 can stream: the sync protocol itself
   // (already on the clock — `sync_elapsed` covers the APK verification
   // exchange), then the data-sync bytes + non-image payload prefix still
   // owed to the stream. Only the data-dir bytes are owed: the APK bytes
   // rode the verification exchange inside sync_elapsed, so charging
-  // sync.total() here would bill them twice (the pre-trace phase timing
-  // did exactly that — pinned by PipelineTest.ApkResyncChargedOnce). The
-  // stream handshake latency is charged once, on chunk 0.
+  // sync.total() here would bill them twice (pinned by
+  // PipelineTest.ApkResyncChargedOnce). The stream handshake latency is
+  // charged once, on chunk 0.
   SimDuration wire_offset =
       sync_elapsed +
-      wifi.TransferTime(charged(sync.data_wire_bytes + prefix_payload), link) -
+      wifi.TransferTime(Charged(sync.data_wire_bytes + prefix_payload), link) -
       link.latency;
   if (report.dedup.enabled) {
     // The manifest handshake: hashes go out as soon as the checkpoint is
@@ -1085,16 +1063,15 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // full-image serialize + single-core compress, one monolithic transfer,
   // then decompress + restore — the Figure 13 sum.
   stats.serial_estimate =
-      CpuCost(home_device, report.image_raw_bytes, config_.serialize_mbps) +
+      CpuCost(home_device, report.image_raw_bytes, kSerializeMbps) +
       (config_.compress_image
-           ? CpuCost(home_device, report.image_raw_bytes, config_.compress_mbps)
+           ? CpuCost(home_device, report.image_raw_bytes, kCompressMbps)
            : 0) +
       sync_elapsed + wifi.TransferTime(foreground_wire, link) +
       (config_.compress_image
-           ? CpuCost(guest_device, report.image_raw_bytes,
-                     config_.decompress_mbps)
+           ? CpuCost(guest_device, report.image_raw_bytes, kDecompressMbps)
            : 0) +
-      CpuCost(guest_device, report.image_raw_bytes, config_.restore_mbps);
+      CpuCost(guest_device, report.image_raw_bytes, kRestoreMbps);
   stats.saved = stats.serial_estimate > stats.makespan
                     ? stats.serial_estimate - stats.makespan
                     : 0;
@@ -1157,113 +1134,90 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
                    report.dedup.ref_chunks);
 
   // Stream the chunks: advance to each wire-stage finish, watching for
-  // outages at every tick boundary.
-  SimDuration extra = 0;    // hostile/resume time beyond the loss-free plan
-  uint64_t extra_wire = 0;  // retransmissions + handshakes on the air
-  if (!shaped && !config_.resume) {
-    // Baseline: the loss-free schedule, aborting on any outage.
-    if (!AdvanceWithTicks(t0 + stages[kWire].initial_offset + link.latency,
-                          &wifi)) {
-      return Unavailable("network lost mid-transfer; payload incomplete");
-    }
-    for (size_t i = 0; i < foreground_chunks; ++i) {
-      if (!AdvanceWithTicks(t0 + plan.finish[kWire][i], &wifi)) {
-        return Unavailable("network lost mid-transfer; payload incomplete");
-      }
-    }
-  } else {
-    FlightRecorder* home_rec = &home_device.flight_recorder();
-    FrameWireStats& fw = report.frame_wire;
-    fw.enabled = fw.enabled || shaped;
-    std::optional<LinkShaper> shaper;
-    if (shaped) {
-      shaper.emplace(config_.net_profile,
-                     FluxHash64(ByteSpan(reinterpret_cast<const uint8_t*>(
-                                             app.package.data()),
-                                         app.package.size()),
-                                /*seed=*/0x6672616d) ^
-                         config_.net_seed);
-    }
-    // Rides out an outage at any tick boundary: resume handshake, then the
-    // in-flight bytes re-send and the rest of the schedule shifts by the
-    // stall (`extra` accumulates across chunks).
-    auto advance_stream = [&](SimTime target, uint64_t resend_wire) -> Status {
-      while (!AdvanceWithTicks(target + extra, &wifi)) {
-        auto resumed = ResumeAfterOutage(
-            wifi, link, payload_chunk_hashes_, resend_wire,
-            "network lost mid-transfer; payload incomplete", report);
-        FLUX_RETURN_IF_ERROR(resumed.status());
-        extra += resumed.value().extra;
-        extra_wire += resumed.value().wire_bytes;
-      }
-      return OkStatus();
-    };
-    FLUX_RETURN_IF_ERROR(advance_stream(
-        t0 + stages[kWire].initial_offset + link.latency, /*resend_wire=*/0));
-    uint64_t chunk_off = payload.size() - container_bytes;
-    uint32_t next_seq = 0;
-    uint32_t next_group = 0;
-    for (size_t i = 0; i < foreground_chunks; ++i) {
-      const uint64_t chunk_len = stats.chunk_wire_bytes[i];
-      uint64_t in_flight = charged(chunk_len);
-      if (shaper) {
-        // The real codec over this chunk's payload bytes: encode, lose,
-        // CRC-reject corrupt arrivals, FEC-reconstruct, retransmit — and
-        // the reassembly is checked byte-for-byte against what was sent.
-        FLUX_ASSIGN_OR_RETURN(
-            const ChunkTransmission tx,
-            TransmitFramedChunk(payload.subspan(chunk_off, chunk_len), *shaper,
-                                fopts, next_seq, next_group, home_rec));
-        next_seq = tx.next_seq;
-        next_group = tx.next_group;
-        fw.frames_sent += tx.frames_sent;
-        fw.data_frames += tx.data_frames;
-        fw.parity_frames += tx.parity_frames;
-        fw.frames_lost += tx.frames_lost;
-        fw.crc_errors += tx.crc_errors;
-        fw.frames_recovered += tx.frames_recovered;
-        fw.frames_retransmitted += tx.frames_retransmitted;
-        fw.wire_bytes += tx.wire_bytes;
-        fw.lost_bytes += tx.lost_bytes;
-        fw.retransmit_bytes += tx.retransmit_bytes;
-        extra_wire += tx.retransmit_bytes;
-        in_flight = tx.wire_bytes;
-        // Time beyond the loss-free framed plan: retransmission rounds,
-        // this chunk's jitter draw, and a rate dip stretching its window.
-        SimDuration chunk_extra = shaper->NextJitter();
-        if (tx.retransmit_bytes > 0) {
-          chunk_extra +=
-              wifi.TransferTime(tx.retransmit_bytes, link) - link.latency;
-        }
-        const double dip = shaper->NextRateFactor();
-        if (dip < 1.0) {
-          const SimDuration base =
-              wifi.TransferTime(tx.wire_bytes, link) - link.latency;
-          chunk_extra += FromSecondsF(ToSecondsF(base) * (1.0 / dip - 1.0));
-        }
-        extra += chunk_extra;
-      }
-      FLUX_RETURN_IF_ERROR(
-          advance_stream(t0 + plan.finish[kWire][i], in_flight));
-      if (config_.resume && i < payload_chunk_hashes_.size() &&
-          !resume_raw_image_.empty()) {
-        // Chunk-granular delivery: the guest caches each chunk as its wire
-        // window closes, so a resume ack covers exactly the delivered
-        // prefix (plus anything warm from earlier hops).
-        const uint64_t begin = uint64_t{i} * stats.chunk_bytes;
-        if (begin < resume_raw_image_.size()) {
-          const uint64_t len = std::min<uint64_t>(
-              stats.chunk_bytes, resume_raw_image_.size() - begin);
-          guest_.chunk_cache().Insert(
-              payload_chunk_hashes_[i],
-              ByteSpan(resume_raw_image_.data() + begin, len));
-        }
-      }
-      chunk_off += chunk_len;
-    }
+  // outages at every tick boundary. Without resume an outage aborts the
+  // transfer; with it, the stream rides the outage out and the rest of the
+  // schedule shifts by `stream.extra`. A shaped link also runs the frame
+  // codec per chunk, adding its retransmissions, jitter and rate dips.
+  FrameWireStats& fw = report.frame_wire;
+  fw.enabled = shaped;
+  std::optional<LinkShaper> shaper;
+  if (shaped) {
+    shaper.emplace(config_.net_profile,
+                   FluxHash64(ByteSpan(reinterpret_cast<const uint8_t*>(
+                                           app.package.data()),
+                                       app.package.size()),
+                              /*seed=*/0x6672616d) ^
+                       config_.net_seed);
   }
-  wifi.AccountTraffic(foreground_wire + extra_wire);
-  report.total_wire_bytes = foreground_wire + extra_wire;
+  ResumableStream stream{wifi, link, payload_chunk_hashes_,
+                         "network lost mid-transfer; payload incomplete"};
+  FLUX_RETURN_IF_ERROR(AdvanceStream(
+      stream, t0 + stages[kWire].initial_offset + link.latency,
+      /*resend_wire=*/0, report));
+  uint64_t chunk_off = payload.size() - container_bytes;
+  uint32_t next_seq = 0;
+  uint32_t next_group = 0;
+  for (size_t i = 0; i < foreground_chunks; ++i) {
+    const uint64_t chunk_len = stats.chunk_wire_bytes[i];
+    uint64_t in_flight = Charged(chunk_len);
+    if (shaper) {
+      // The real codec over this chunk's payload bytes: encode, lose,
+      // CRC-reject corrupt arrivals, FEC-reconstruct, retransmit — and the
+      // reassembly is checked byte-for-byte against what was sent.
+      FLUX_ASSIGN_OR_RETURN(
+          const ChunkTransmission tx,
+          TransmitFramedChunk(payload.subspan(chunk_off, chunk_len), *shaper,
+                              frame_options_, next_seq, next_group,
+                              &home_device.flight_recorder()));
+      next_seq = tx.next_seq;
+      next_group = tx.next_group;
+      fw.frames_sent += tx.frames_sent;
+      fw.data_frames += tx.data_frames;
+      fw.parity_frames += tx.parity_frames;
+      fw.frames_lost += tx.frames_lost;
+      fw.crc_errors += tx.crc_errors;
+      fw.frames_recovered += tx.frames_recovered;
+      fw.frames_retransmitted += tx.frames_retransmitted;
+      fw.wire_bytes += tx.wire_bytes;
+      fw.lost_bytes += tx.lost_bytes;
+      fw.retransmit_bytes += tx.retransmit_bytes;
+      stream.extra_wire += tx.retransmit_bytes;
+      in_flight = tx.wire_bytes;
+      // Time beyond the loss-free framed plan: retransmission rounds, this
+      // chunk's jitter draw, and a rate dip stretching its window.
+      SimDuration chunk_extra = shaper->NextJitter();
+      if (tx.retransmit_bytes > 0) {
+        chunk_extra +=
+            wifi.TransferTime(tx.retransmit_bytes, link) - link.latency;
+      }
+      const double dip = shaper->NextRateFactor();
+      if (dip < 1.0) {
+        const SimDuration base =
+            wifi.TransferTime(tx.wire_bytes, link) - link.latency;
+        chunk_extra += FromSecondsF(ToSecondsF(base) * (1.0 / dip - 1.0));
+      }
+      stream.extra += chunk_extra;
+    }
+    FLUX_RETURN_IF_ERROR(
+        AdvanceStream(stream, t0 + plan.finish[kWire][i], in_flight, report));
+    if (config_.resume && i < payload_chunk_hashes_.size() &&
+        !resume_raw_image_.empty()) {
+      // Chunk-granular delivery: the guest caches each chunk as its wire
+      // window closes, so a resume ack covers exactly the delivered prefix
+      // (plus anything warm from earlier hops).
+      const uint64_t begin = uint64_t{i} * kMigrationChunkBytes;
+      if (begin < resume_raw_image_.size()) {
+        const uint64_t len = std::min<uint64_t>(
+            kMigrationChunkBytes, resume_raw_image_.size() - begin);
+        guest_.chunk_cache().Insert(
+            payload_chunk_hashes_[i],
+            ByteSpan(resume_raw_image_.data() + begin, len));
+      }
+    }
+    chunk_off += chunk_len;
+  }
+  wifi.AccountTraffic(foreground_wire + stream.extra_wire);
+  report.total_wire_bytes = foreground_wire + stream.extra_wire;
   report.transfer.end = clock.now();
   Bytes().swap(resume_raw_image_);  // the guest cache holds the chunks now
 
@@ -1294,7 +1248,7 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // The guest-side drain (decompress + restore-apply beyond the last wire
   // finish) is charged by RestoreOnGuest up to this deadline, shifted by
   // whatever the hostile path added.
-  pipeline_restore_deadline_ = t0 + plan.makespan + extra;
+  pipeline_restore_deadline_ = t0 + plan.makespan + stream.extra;
   return OkStatus();
 }
 
@@ -1349,13 +1303,13 @@ Result<CriaRestoredApp> MigrationManager::RestoreOnGuest(
     }
     if (!config_.pipelined) {
       guest_device.context().SpendCpu(
-          CpuCost(guest_device, image_bytes.size(), config_.decompress_mbps));
+          CpuCost(guest_device, image_bytes.size(), kDecompressMbps));
     }
     image = ByteSpan(image_bytes.data(), image_bytes.size());
   }
   if (!config_.pipelined) {
     guest_device.context().SpendCpu(
-        CpuCost(guest_device, image.size(), config_.restore_mbps));
+        CpuCost(guest_device, image.size(), kRestoreMbps));
   }
   report.restored_image_hash = FluxHash128(image);
   if (config_.chunk_dedup && LzIsChunkedStream(image_view)) {
@@ -1431,7 +1385,7 @@ Status MigrationManager::Reintegrate(CriaRestoredApp& restored,
   for (const std::string& token : restored.activity_tokens) {
     FLUX_RETURN_IF_ERROR(restored.thread->DrawFrame(token));
   }
-  guest_device.context().SpendCpu(config_.reintegrate_fixed);
+  guest_device.context().SpendCpu(kReintegrateFixed);
   return OkStatus();
 }
 

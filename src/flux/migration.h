@@ -25,6 +25,7 @@
 #include "src/apps/app_instance.h"
 #include "src/base/hash.h"
 #include "src/cria/cria.h"
+#include "src/flux/cost_model.h"
 #include "src/flux/flux_agent.h"
 #include "src/flux/forensics.h"
 #include "src/flux/pairing.h"
@@ -36,20 +37,22 @@ namespace flux {
 
 class ThreadPool;
 
+// Fixed engine policy. Stage costs, chunk size and compress fan-out are the
+// shared cost model (cost_model.h); none of these are configurable.
+//
+// During long transfers the world keeps moving: the clock advances in
+// slices of at most this, ticking both devices (task idlers, due alarms) at
+// each boundary.
+inline constexpr SimDuration kTransferTick = Millis(250);
+// A pre-copy round must shrink the pending set to at most this fraction of
+// the previous round's, or pre-copy declares non-convergence.
+inline constexpr double kPrecopyMinRoundShrink = 0.85;
+// Resume gives up after this many handshakes (forensics, then rollback).
+inline constexpr int kResumeMaxAttempts = 8;
+
 struct MigrationConfig {
-  // Modeled single-core throughputs for image handling (MB/s at the
-  // Snapdragon S4 Pro baseline; scaled by each device's cpu_factor).
-  double serialize_mbps = 120.0;
-  double compress_mbps = 25.0;
-  double decompress_mbps = 25.0;
-  double restore_mbps = 35.0;
-  // Fixed preparation work beyond the task-idler wait (trim + eglUnload).
-  SimDuration prepare_fixed = Millis(140);
-  // Reintegration fixed work (foreground, surface + first frame).
-  SimDuration reintegrate_fixed = Millis(160);
-  // Ablations.
+  // Ablation: ship the image uncompressed.
   bool compress_image = true;
-  bool wait_for_task_idler = true;
   // Extension beyond the paper's prototype (§3.4 future work): migrate
   // multi-process apps by checkpointing the whole process tree.
   bool enable_multiprocess = false;
@@ -62,16 +65,14 @@ struct MigrationConfig {
   // on (the adaptively chosen working set).
   double post_copy_priority_fraction = 0.25;
   // Extension (the §4 overlap, taken further): chunked, pipelined
-  // migration. The CRIA image is split into `pipeline_chunk_bytes` chunks;
+  // migration. The CRIA image is split into kMigrationChunkBytes chunks;
   // serialize → compress (home) → wire → decompress → restore-apply
   // (guest) overlap per chunk, and chunk compression fans out over
-  // `compress_threads` device cores (and, for real wall-clock wins, host
+  // kCompressThreads device cores (and, for real wall-clock wins, host
   // threads). Off by default so the paper-baseline figures are unchanged.
   bool pipelined = false;
-  uint64_t pipeline_chunk_bytes = 256 * 1024;
-  int compress_threads = 4;
   // Worker pool for chunk compression. Null (the default) uses the lazily
-  // created process-shared pool of width `compress_threads`
+  // created process-shared pool of width kCompressThreads
   // (ThreadPool::Shared); tests and embedders may inject their own. The
   // pool must outlive the manager.
   ThreadPool* compress_pool = nullptr;
@@ -96,9 +97,6 @@ struct MigrationConfig {
   // Bandwidth-aware termination: freeze once the estimated stop-and-copy
   // of the remaining dirty delta drops below this.
   SimDuration precopy_stop_copy_target = Millis(250);
-  // A round must shrink the dirty set to at most this fraction of the
-  // previous round's, or pre-copy declares non-convergence.
-  double precopy_min_round_shrink = 0.85;
   // Test hook: runs once, right after the final stop-and-copy cut (models
   // a write racing the freeze; exercises the re-cut path that keeps such
   // writes from being silently dropped).
@@ -106,32 +104,28 @@ struct MigrationConfig {
   // Extension (DESIGN.md §13): hostile-network modeling. A non-clean
   // profile frames every wire byte (src/net/frame.h, PROTOCOL.md) and runs
   // the real frame codec per chunk under the profile's loss, jitter and
-  // rate-dip processes. The default (clean) profile leaves every transfer
-  // path byte-identical to the baseline model — framing overhead is only
-  // ever charged on non-clean profiles.
+  // rate-dip processes; it implies pipelined (the constructor forces it
+  // on), since the codec works on the chunk stream. The default (clean)
+  // profile leaves every transfer path byte-identical to the baseline
+  // model — framing overhead is only ever charged on non-clean profiles.
   NetProfile net_profile;
   // Decorrelates the per-migration loss/jitter draws and the recurring
   // outage phase across sweep points (XORed into the app-derived seed).
   uint64_t net_seed = 0;
-  // Frame-stream shape when a profile is active (PROTOCOL.md §5).
+  // Frame-stream shape when a profile is active (PROTOCOL.md §5); parity
+  // groups are FrameStreamOptions' default 8 data frames.
   bool fec = true;
   uint32_t frame_payload_bytes = 16 * 1024;
-  uint32_t fec_group_data_frames = 8;
   // Extension (DESIGN.md §13): chunk-resumable transfers. An interrupted
   // migration waits out a recoverable outage, re-offers the chunk manifest
   // (PROTOCOL.md §8), the guest acks what its cache already holds, and only
-  // un-acked chunks retransmit. Implies pipelined + chunk_dedup (the
-  // constructor forces both on). Off by default: interruption still aborts
-  // to rollback, and every baseline figure stays bit-for-bit unchanged.
+  // un-acked chunks retransmit, for at most kResumeMaxAttempts handshakes.
+  // Implies pipelined + chunk_dedup (the constructor forces both on). Off
+  // by default: interruption still aborts to rollback, and every baseline
+  // figure stays bit-for-bit unchanged.
   bool resume = false;
-  // Give up after this many resume handshakes (forensics, then rollback).
-  int resume_max_attempts = 8;
   // An outage longer than this is treated as unrecoverable.
   SimDuration resume_wait_max = Seconds(30);
-  // During long transfers the world keeps moving: the clock advances in
-  // slices of at most `transfer_tick`, ticking both devices (task idlers,
-  // due alarms) at each boundary.
-  SimDuration transfer_tick = Millis(250);
   // Fault injection for tests: mutates the payload after checkpoint,
   // before transfer (models wire corruption; exercises restore rollback).
   std::function<void(Bytes&)> payload_fault;
@@ -343,26 +337,33 @@ class MigrationManager {
   // chunk's bytes run through the real frame codec.
   Status TransferPipelined(const RunningApp& app, const AppSpec& spec,
                            ByteSpan payload, MigrationReport& report);
-  // What one resume handshake cost, beyond the loss-free schedule.
-  struct ResumeOutcome {
-    SimDuration extra = 0;    // stall + handshake + in-flight re-send time
-    uint64_t wire_bytes = 0;  // handshake + re-send bytes on the air
+  // A chunk stream on the wire (a pre-copy round or the stop-and-copy) and
+  // how far it has slipped behind its loss-free schedule.
+  struct ResumableStream {
+    WifiNetwork& wifi;
+    const EffectiveLink& link;
+    // What a resume handshake re-offers (PROTOCOL.md §8).
+    const std::vector<Hash128>& manifest;
+    // The kUnavailable cause when the stream cannot ride an outage out.
+    const char* fail_msg;
+    SimDuration extra = 0;    // stalls, handshakes, re-sends, codec time
+    uint64_t extra_wire = 0;  // handshake, re-send and retransmit bytes
   };
-  // Rides out a connectivity loss at the current clock instant: waits for
-  // the link to recover (devices keep ticking), then runs the resume
-  // handshake — a framed manifest re-offer out, a cache-ack bitmap back
-  // (PROTOCOL.md §8) — counting the `manifest` chunks the guest cache
-  // already holds. `resend_wire` is the in-flight wire bytes the outage
-  // destroyed; they re-send in full after the handshake. Fails with a
-  // clean kUnavailable cause (`fail_msg`) when resume is off, the outage
-  // is permanent, longer than resume_wait_max, or the attempt budget is
-  // spent — the caller rolls back exactly as before resume existed.
-  Result<ResumeOutcome> ResumeAfterOutage(WifiNetwork& wifi,
-                                          const EffectiveLink& link,
-                                          const std::vector<Hash128>& manifest,
-                                          uint64_t resend_wire,
-                                          const char* fail_msg,
-                                          MigrationReport& report);
+  // Advances the clock to `target` + stream.extra, watching the link. At
+  // each outage on the way it waits for the link to recover (devices keep
+  // ticking), runs the resume handshake — a framed manifest re-offer out, a
+  // cache-ack bitmap back — counting the manifest chunks the guest cache
+  // already holds, and re-sends `resend_wire` (the in-flight bytes the
+  // outage destroyed) in full; the stall and re-send shift the rest of the
+  // stream. Fails with a clean kUnavailable cause (fail_msg) when resume is
+  // off, the outage is permanent or longer than resume_wait_max, or
+  // kResumeMaxAttempts is spent — the caller rolls back exactly as before
+  // resume existed.
+  Status AdvanceStream(ResumableStream& stream, SimTime target,
+                       uint64_t resend_wire, MigrationReport& report);
+  // Wire bytes charged for `bytes` of stream payload: framed under a
+  // non-clean profile (PROTOCOL.md §5), as-is on a clean link.
+  uint64_t Charged(uint64_t bytes) const;
   Result<CriaRestoredApp> RestoreOnGuest(ByteSpan payload,
                                          MigrationReport& report,
                                          CallLog& log_out,
@@ -380,7 +381,7 @@ class MigrationManager {
                                                  ReplayAuditJournal journal,
                                                  const MigrationReport& report);
 
-  // Advances the shared clock to `target` in transfer_tick slices, ticking
+  // Advances the shared clock to `target` in kTransferTick slices, ticking
   // both devices at each boundary so their timers observe time passing.
   // With `watch` set, stops early and returns false if the network is down
   // at a slice boundary; returns true once `target` is reached.
@@ -400,6 +401,8 @@ class MigrationManager {
   FluxAgent& home_;
   FluxAgent& guest_;
   MigrationConfig config_;
+  // Frame-stream shape under a non-clean profile, from config_.
+  FrameStreamOptions frame_options_;
   // The active migration's causal context: adopted or minted at Migrate()
   // entry, cleared (with both recorders' and the tracer's ambient context)
   // on every exit path.

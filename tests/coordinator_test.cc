@@ -11,6 +11,7 @@
 #include "src/base/event_queue.h"
 #include "src/base/thread_pool.h"
 #include "src/flux/coordinator.h"
+#include "src/flux/cost_model.h"
 #include "src/flux/trace.h"
 #include "src/net/contended_link.h"
 
@@ -104,6 +105,52 @@ TEST(ContendedFabricTest, CrossApFlowTakesTheTighterShare) {
   SimTime when = 0;
   ASSERT_TRUE(fabric.NextCompletion(0, &when));
   EXPECT_EQ(when, static_cast<SimTime>(Seconds(4)));
+}
+
+// The cost model's throughputs are MiB/s (1024 * 1024 bytes), scaled by
+// the device's CPU factor; a non-positive factor reads as the baseline.
+TEST(CostModelTest, CpuCostIsMiBPerSecondAtTheCpuFactor) {
+  constexpr uint64_t kMiB = 1024 * 1024;
+  EXPECT_EQ(CpuCost(1.0, 25 * kMiB, kCompressMbps), Seconds(1));
+  EXPECT_EQ(CpuCost(1.0, 120 * kMiB, kSerializeMbps), Seconds(1));
+  EXPECT_EQ(CpuCost(2.0, 25 * kMiB, kDecompressMbps), Millis(500));
+  EXPECT_EQ(CpuCost(0.0, 35 * kMiB, kRestoreMbps), Seconds(1));
+  EXPECT_EQ(CpuCost(1.0, 0, kRestoreMbps), 0);
+}
+
+// The fleet charges the shared cost model: with nothing to contend with,
+// admission to completion is exactly the stage sum MigrationManager's
+// numbers give — prepare + serialize + compress at home, the cold bytes'
+// fabric transfer, decompress + restore + reintegrate on the guest.
+TEST(CoordinatorTest, UncontendedMigrationTakesTheCostModelStageSum) {
+  Fleet fleet;
+  const auto ap = fleet.fabric.AddAp("ap0", 150'000'000);
+  const auto d0 = fleet.Dev(ap), d1 = fleet.Dev(ap);
+  fleet.coord->MarkPaired(d0, d1);
+  constexpr uint64_t kImage = 4 * kMigrationChunkBytes;
+  const auto app = fleet.App(d0, kImage);
+  ASSERT_TRUE(fleet.coord->RequestMigration(app, d1));
+  fleet.sched.DrainUntil(kForever);
+  ASSERT_EQ(fleet.coord->completed().size(), 1u);
+  const FleetMigrationRecord& rec = fleet.coord->completed()[0];
+  ASSERT_EQ(rec.chunks, 4u);
+  ASSERT_EQ(rec.warm_chunks, 0u);  // cold guest: every byte is decompressed
+
+  const SimDuration cpu_pre = kPrepareFixed +
+                              CpuCost(1.0, kImage, kSerializeMbps) +
+                              CpuCost(1.0, kImage, kCompressMbps);
+  const SimDuration cpu_post = CpuCost(1.0, kImage, kDecompressMbps) +
+                               CpuCost(1.0, kImage, kRestoreMbps) +
+                               kReintegrateFixed;
+  // The same wire bytes alone on an idle copy of the fabric.
+  ContendedFabric idle;
+  const auto idle_ap = idle.AddAp("ap0", 150'000'000);
+  ASSERT_NE(idle.StartFlow(0, rec.wire_bytes, 30'000'000, idle_ap, idle_ap),
+            ContendedFabric::kInvalidFlow);
+  SimTime wire = 0;
+  ASSERT_TRUE(idle.NextCompletion(0, &wire));
+  EXPECT_EQ(rec.completed - rec.admitted,
+            static_cast<SimTime>(cpu_pre + cpu_post) + wire);
 }
 
 TEST(CoordinatorTest, AdmitsFifoAndRecordsQueueWait) {

@@ -343,7 +343,7 @@ class TransferAlarmTest : public ::testing::TestWithParam<bool> {};
 
 // Regression: devices keep ticking while a long transfer is in flight, so
 // an alarm due mid-transfer fires at its trigger time (within one
-// transfer_tick slice), not after the migration completes.
+// kTransferTick slice), not after the migration completes.
 TEST_P(TransferAlarmTest, GuestAlarmFiresOnTimeDuringTransfer) {
   MigrationConfig config;
   config.pipelined = GetParam();
@@ -372,7 +372,7 @@ TEST_P(TransferAlarmTest, GuestAlarmFiresOnTimeDuringTransfer) {
 
   ASSERT_GT(fired_at, 0) << "alarm never fired during the transfer";
   EXPECT_GE(fired_at, mid);
-  EXPECT_LE(fired_at - mid, config.transfer_tick)
+  EXPECT_LE(fired_at - mid, kTransferTick)
       << "alarm fired " << ToSecondsF(fired_at - mid)
       << " s late; devices not ticking during transfer";
   EXPECT_LE(fired_at, report->transfer.end);
