@@ -93,6 +93,30 @@ void CallLog::RebuildBuckets() const {
   }
 }
 
+void CallLog::RemapNodes(const std::map<uint64_t, uint64_t>& mapping) {
+  Compact();
+  auto remap = [&mapping](uint64_t& node) {
+    if (auto it = mapping.find(node); it != mapping.end()) {
+      node = it->second;
+    }
+  };
+  for (CallRecord& record : slots_) {
+    if (record.service.empty()) {
+      remap(record.node_id);
+    }
+    const Parcel& args = record.args;
+    for (size_t i = 0; i < args.size(); ++i) {
+      // Probe read-only first: args parcels are copy-on-write, and most
+      // calls carry no object refs at all.
+      const auto* ref = std::get_if<ParcelObjectRef>(&args.at(i));
+      if (ref != nullptr && ref->space == ParcelObjectRef::Space::kNode) {
+        remap(std::get<ParcelObjectRef>(record.args.at(i)).value);
+      }
+    }
+  }
+  RebuildBuckets();
+}
+
 void CallLog::Clear() {
   slots_.clear();
   dead_.clear();

@@ -18,6 +18,7 @@
 #define FLUX_SRC_FLUX_CALL_LOG_H_
 
 #include <functional>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -97,6 +98,13 @@ class CallLog {
   size_t size() const { return live_count_; }
   bool empty() const { return live_count_ == 0; }
   void Clear();
+
+  // Re-keys the log onto another device's Binder nodes after a migration
+  // (`mapping`: old node id -> new, as CRIA restore and replay built it).
+  // The target of every anonymous-node call (empty service name) and every
+  // node-space object ref in call args is rewritten; ids without a mapping
+  // are kept. Order, sequence numbers and WireSize() are unchanged.
+  void RemapNodes(const std::map<uint64_t, uint64_t>& mapping);
 
   // Serialized footprint (drives transfer accounting); O(1), maintained on
   // append and removal.

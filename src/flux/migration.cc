@@ -1361,8 +1361,12 @@ Status MigrationManager::Reintegrate(CriaRestoredApp& restored,
         guest_.replayer().Replay(log, restored, home_hw, &journal));
   }
 
-  // The log keeps living on the guest so the app can migrate again.
-  guest_.recorder().InstallLog(restored.pid, log);
+  // The log keeps living on the guest so the app can migrate again — keyed
+  // by the guest's node ids, or the next hop's replay could not map the
+  // app-owned objects it names.
+  CallLog guest_log = log;
+  guest_log.RemapNodes(restored.node_mapping);
+  guest_.recorder().InstallLog(restored.pid, std::move(guest_log));
 
   // Connectivity: the app sees a loss and a new connection (§3.1).
   Intent lost;

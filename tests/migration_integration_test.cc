@@ -5,6 +5,9 @@
 // descriptor numbers), receivers, and the UI resized to the guest display.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/apps/app_instance.h"
 #include "src/device/world.h"
 #include "src/flux/migration.h"
@@ -251,6 +254,58 @@ TEST(CrossGpuTest, VendorLibrarySwappedAcrossMigration) {
   EXPECT_TRUE(guest->egl().VendorLibraryLoaded(report->migrated.pid));
   // The 3D game re-uploaded textures through the new stack.
   EXPECT_GT(guest->egl().GpuBytesOf(report->migrated.pid), 0u);
+}
+
+// Regression: the call log an app carries to its next hop must name the
+// Binder nodes of the device it now runs on. Left keyed by the previous
+// home's node ids, replay from the app's third hop on failed with
+// "argument references unmapped home node" on every app-owned object
+// passed as an argument: the connectivity receiver, location listeners and
+// vibration tokens.
+TEST(MultiHopTest, AppOwnedBinderObjectsReplayOnEveryHop) {
+  World world;
+  BootOptions boot;
+  boot.framework_scale = 0.01;
+  Device* a = world.AddDevice("n4", Nexus4Profile(), boot).value();
+  Device* b = world.AddDevice("n7-2013", Nexus7_2013Profile(), boot).value();
+  FluxAgent a_agent(*a);
+  FluxAgent b_agent(*b);
+  ASSERT_TRUE(PairDevices(a_agent, b_agent).ok());
+  ASSERT_TRUE(PairDevices(b_agent, a_agent).ok());
+
+  AppSpec spec = *FindApp("GroupOn");
+  spec.workload.registers_connectivity_receiver = true;
+  spec.workload.location_requests = 2;
+  spec.workload.vibrations = 1;
+  AppInstance app(*a, spec);
+  ASSERT_TRUE(app.Install().ok());
+  ASSERT_TRUE(PairApp(a_agent, b_agent, spec).ok());
+  ASSERT_TRUE(PairApp(b_agent, a_agent, spec).ok());
+  ASSERT_TRUE(app.Launch().ok());
+  a_agent.Manage(app.pid(), spec.package);
+  ASSERT_TRUE(app.RunWorkload(42).ok());
+
+  // A -> B -> A -> B.
+  RunningApp running = RunningApp::FromInstance(app);
+  FluxAgent* from = &a_agent;
+  FluxAgent* to = &b_agent;
+  for (int hop = 0; hop < 4; ++hop) {
+    MigrationManager manager(*from, *to);
+    auto report = manager.Migrate(running, spec);
+    ASSERT_TRUE(report.ok()) << "hop " << hop << ": "
+                             << report.status().ToString();
+    ASSERT_TRUE(report->success) << "hop " << hop << ": "
+                                 << report->refusal_reason;
+    EXPECT_GT(report->replay.replayed + report->replay.proxied, 0)
+        << "hop " << hop;
+    EXPECT_EQ(report->replay.failed, 0)
+        << "hop " << hop << ": "
+        << (report->forensics != nullptr
+                ? ForensicReportText(*report->forensics)
+                : std::string());
+    running = report->migrated;
+    std::swap(from, to);
+  }
 }
 
 }  // namespace
