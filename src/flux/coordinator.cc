@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/base/bytes.h"
+#include "src/flux/chunk_cache.h"
 #include "src/flux/cost_model.h"
 #include "src/flux/telemetry.h"
 

@@ -53,7 +53,6 @@
 #include "src/base/event_queue.h"
 #include "src/base/hash.h"
 #include "src/base/sim_clock.h"
-#include "src/flux/chunk_cache.h"
 #include "src/flux/trace.h"
 #include "src/net/contended_link.h"
 
