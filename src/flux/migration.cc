@@ -18,6 +18,12 @@ namespace {
 
 constexpr uint32_t kPayloadMagic = 0x464C5558;  // "FLUX"
 
+// A pre-copy round must shrink the pending set to at most this fraction of
+// the previous round's, or pre-copy declares non-convergence.
+constexpr double kPrecopyMinRoundShrink = 0.85;
+// Resume gives up after this many handshakes (forensics, then rollback).
+constexpr int kResumeMaxAttempts = 8;
+
 // Modeled wire bytes of the dedup manifest handshake (PROTOCOL.md §7): the
 // home side sends a 32-byte header — 16 bytes of framing fields plus the
 // 16-byte trace-context field added in manifest v2 (§7.1) — plus one

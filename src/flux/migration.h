@@ -37,18 +37,11 @@ namespace flux {
 
 class ThreadPool;
 
-// Fixed engine policy. Stage costs, chunk size and compress fan-out are the
-// shared cost model (cost_model.h); none of these are configurable.
-//
 // During long transfers the world keeps moving: the clock advances in
 // slices of at most this, ticking both devices (task idlers, due alarms) at
-// each boundary.
+// each boundary. Like the stage costs, chunk size and compress fan-out of
+// the shared cost model (cost_model.h), it is not configurable.
 inline constexpr SimDuration kTransferTick = Millis(250);
-// A pre-copy round must shrink the pending set to at most this fraction of
-// the previous round's, or pre-copy declares non-convergence.
-inline constexpr double kPrecopyMinRoundShrink = 0.85;
-// Resume gives up after this many handshakes (forensics, then rollback).
-inline constexpr int kResumeMaxAttempts = 8;
 
 struct MigrationConfig {
   // Ablation: ship the image uncompressed.
@@ -119,9 +112,9 @@ struct MigrationConfig {
   // Extension (DESIGN.md §13): chunk-resumable transfers. An interrupted
   // migration waits out a recoverable outage, re-offers the chunk manifest
   // (PROTOCOL.md §8), the guest acks what its cache already holds, and only
-  // un-acked chunks retransmit, for at most kResumeMaxAttempts handshakes.
-  // Implies pipelined + chunk_dedup (the constructor forces both on). Off
-  // by default: interruption still aborts to rollback, and every baseline
+  // un-acked chunks retransmit, for at most 8 handshakes. Implies
+  // pipelined + chunk_dedup (the constructor forces both on). Off by
+  // default: interruption still aborts to rollback, and every baseline
   // figure stays bit-for-bit unchanged.
   bool resume = false;
   // An outage longer than this is treated as unrecoverable.
