@@ -159,29 +159,66 @@ void BM_LzDecompressChunks(benchmark::State& state) {
 }
 BENCHMARK(BM_LzDecompressChunks)->Arg(8 << 20);
 
-void BM_CriaCheckpoint(benchmark::State& state) {
+// A launched app with a `heap_bytes` heap, its graphics state shed so a
+// checkpoint is legal.
+struct PreparedAppFixture {
+  explicit PreparedAppFixture(uint64_t heap_bytes) {
+    BootOptions boot;
+    boot.framework_scale = 0.002;
+    device = world.AddDevice("dut", Nexus4Profile(), boot).value();
+    AppSpec spec = *FindApp("eBay");
+    spec.heap_bytes = heap_bytes;
+    app = std::make_unique<AppInstance>(*device, spec);
+    (void)app->Launch();
+    (void)device->activity_manager().MoveAppToBackground(app->pid());
+    world.AdvanceTime(Seconds(2));
+    (void)device->activity_manager().RequestTrimMemory(app->pid(),
+                                                       kTrimMemoryComplete);
+    (void)device->egl().EglUnload(app->pid());
+  }
   World world;
-  BootOptions boot;
-  boot.framework_scale = 0.002;
-  Device* device = world.AddDevice("dut", Nexus4Profile(), boot).value();
-  AppSpec spec = *FindApp("eBay");
-  spec.heap_bytes = static_cast<uint64_t>(state.range(0));
-  AppInstance app(*device, spec);
-  (void)app.Launch();
-  // Shed graphics state so the checkpoint is legal.
-  (void)device->activity_manager().MoveAppToBackground(app.pid());
-  world.AdvanceTime(Seconds(2));
-  (void)device->activity_manager().RequestTrimMemory(app.pid(),
-                                                     kTrimMemoryComplete);
-  (void)device->egl().EglUnload(app.pid());
+  Device* device = nullptr;
+  std::unique_ptr<AppInstance> app;
+};
+
+void BM_CriaCheckpoint(benchmark::State& state) {
+  PreparedAppFixture fixture(static_cast<uint64_t>(state.range(0)));
   for (auto _ : state) {
-    auto checkpoint = Cria::Checkpoint(*device, app.pid(), app.thread());
+    auto checkpoint = Cria::Checkpoint(*fixture.device, fixture.app->pid(),
+                                       fixture.app->thread());
     benchmark::DoNotOptimize(checkpoint);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
 BENCHMARK(BM_CriaCheckpoint)->Arg(1 << 20)->Arg(16 << 20);
+
+void BM_CriaApplyIncremental(benchmark::State& state) {
+  // A pre-copy round's patch: a delta holding one dirty segment (the heap)
+  // applied over the previous full image.
+  PreparedAppFixture fixture(static_cast<uint64_t>(state.range(0)));
+  const std::vector<Pid> pids = {fixture.app->pid()};
+  const Bytes base =
+      Cria::CheckpointTree(*fixture.device, pids, fixture.app->thread())
+          .value()
+          .image;
+  const uint64_t epoch = Cria::BeginDirtyEpoch(*fixture.device, pids);
+  AddressSpace& space =
+      fixture.device->kernel().FindProcess(pids[0])->address_space();
+  const Bytes write(4096, 0xE7);
+  (void)space.Write(space.FindByName("dalvik-heap")->start, 0,
+                    ByteSpan(write.data(), write.size()));
+  const Bytes delta =
+      Cria::CheckpointIncremental(*fixture.device, pids, epoch).value().delta;
+  for (auto _ : state) {
+    auto patched = Cria::ApplyIncremental(ByteSpan(base.data(), base.size()),
+                                          ByteSpan(delta.data(), delta.size()));
+    benchmark::DoNotOptimize(patched);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(base.size()));
+}
+BENCHMARK(BM_CriaApplyIncremental)->Arg(1 << 20)->Arg(16 << 20);
 
 void BM_RecordPruning(benchmark::State& state) {
   // Steady-state log pruning: enqueue/cancel churn at a bounded log size.

@@ -26,6 +26,21 @@ void ArchiveWriter::RawU64(uint64_t v) {
   }
 }
 
+size_t ArchiveWriter::BeginLength(uint8_t tag) {
+  data_.push_back(tag);
+  const size_t token = data_.size();
+  RawU64(0);  // placeholder, patched by EndLength
+  return token;
+}
+
+void ArchiveWriter::EndLength(size_t token) {
+  const uint64_t length = data_.size() - (token + 8);
+  for (int i = 0; i < 8; ++i) {
+    data_[token + static_cast<size_t>(i)] =
+        static_cast<uint8_t>(length >> (8 * i));
+  }
+}
+
 void ArchiveWriter::PutBool(bool v) {
   data_.push_back(kTagBool);
   data_.push_back(v ? 1 : 0);
@@ -72,24 +87,17 @@ void ArchiveWriter::PutBytes(ByteSpan v) {
   data_.insert(data_.end(), v.begin(), v.end());
 }
 
-size_t ArchiveWriter::BeginBytes() {
-  data_.push_back(kTagBytes);
-  const size_t token = data_.size();
-  RawU64(0);  // placeholder, patched by EndBytes
-  return token;
-}
+size_t ArchiveWriter::BeginBytes() { return BeginLength(kTagBytes); }
 
 void ArchiveWriter::AppendRaw(ByteSpan v) {
   data_.insert(data_.end(), v.begin(), v.end());
 }
 
-void ArchiveWriter::EndBytes(size_t token) {
-  const uint64_t length = data_.size() - (token + 8);
-  for (int i = 0; i < 8; ++i) {
-    data_[token + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(length >> (8 * i));
-  }
-}
+void ArchiveWriter::EndBytes(size_t token) { EndLength(token); }
+
+size_t ArchiveWriter::BeginSection() { return BeginLength(kTagSection); }
+
+void ArchiveWriter::EndSection(size_t token) { EndLength(token); }
 
 void ArchiveWriter::PutSection(const ArchiveWriter& section) {
   data_.push_back(kTagSection);
@@ -182,7 +190,7 @@ Status ArchiveReader::GetString(std::string& out) {
   FLUX_RETURN_IF_ERROR(Expect(kTagString));
   uint64_t len = 0;
   FLUX_RETURN_IF_ERROR(RawU64(len));
-  if (pos_ + len > data_.size()) {
+  if (len > data_.size() - pos_) {
     return Corrupt("archive: truncated string");
   }
   out.assign(reinterpret_cast<const char*>(data_.data() + pos_), len);
@@ -194,7 +202,7 @@ Status ArchiveReader::GetBytes(Bytes& out) {
   FLUX_RETURN_IF_ERROR(Expect(kTagBytes));
   uint64_t len = 0;
   FLUX_RETURN_IF_ERROR(RawU64(len));
-  if (pos_ + len > data_.size()) {
+  if (len > data_.size() - pos_) {
     return Corrupt("archive: truncated bytes");
   }
   out.assign(data_.begin() + static_cast<ptrdiff_t>(pos_),
@@ -207,7 +215,7 @@ Status ArchiveReader::GetBytesView(ByteSpan& out) {
   FLUX_RETURN_IF_ERROR(Expect(kTagBytes));
   uint64_t len = 0;
   FLUX_RETURN_IF_ERROR(RawU64(len));
-  if (pos_ + len > data_.size()) {
+  if (len > data_.size() - pos_) {
     return Corrupt("archive: truncated bytes");
   }
   out = data_.subspan(pos_, len);
@@ -219,7 +227,7 @@ Status ArchiveReader::GetSectionRaw(ByteSpan& out) {
   FLUX_RETURN_IF_ERROR(Expect(kTagSection));
   uint64_t len = 0;
   FLUX_RETURN_IF_ERROR(RawU64(len));
-  if (pos_ + len > data_.size()) {
+  if (len > data_.size() - pos_) {
     return Corrupt("archive: truncated section");
   }
   out = data_.subspan(pos_, len);
@@ -231,7 +239,7 @@ Status ArchiveReader::GetSection(ArchiveReader& out) {
   FLUX_RETURN_IF_ERROR(Expect(kTagSection));
   uint64_t len = 0;
   FLUX_RETURN_IF_ERROR(RawU64(len));
-  if (pos_ + len > data_.size()) {
+  if (len > data_.size() - pos_) {
     return Corrupt("archive: truncated section");
   }
   out = ArchiveReader(data_.subspan(pos_, len));

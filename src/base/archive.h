@@ -5,6 +5,12 @@
 // with its writer fails fast with kCorrupt instead of silently misreading —
 // important for CRIA images crossing devices. Nested sections are
 // length-prefixed, letting readers skip unknown sections.
+//
+// A writer can also build nested sections in place (BeginSection /
+// EndSection): the bytes equal those of filling a separate writer per
+// nesting level and embedding it with PutSection, but each field is copied
+// once. CRIA serializes a whole image this way, into one buffer pre-sized
+// with Reserve.
 #ifndef FLUX_SRC_BASE_ARCHIVE_H_
 #define FLUX_SRC_BASE_ARCHIVE_H_
 
@@ -41,6 +47,16 @@ class ArchiveWriter {
   // Embeds another archive as a length-prefixed section.
   void PutSection(const ArchiveWriter& section);
 
+  // In-place section, the section twin of BeginBytes/EndBytes: the fields
+  // written between BeginSection and EndSection(token) form the section.
+  // Byte-identical to writing them into a separate writer and calling
+  // PutSection with it.
+  size_t BeginSection();
+  void EndSection(size_t token);
+
+  // Pre-sizes the buffer for `bytes` of total output.
+  void Reserve(size_t bytes) { data_.reserve(bytes); }
+
   // Re-embeds a section from raw bytes (as returned by GetSectionRaw),
   // byte-identical to the PutSection that produced them. Used by CRIA's
   // incremental-checkpoint patcher to pass untouched sections through.
@@ -52,6 +68,8 @@ class ArchiveWriter {
 
  private:
   void RawU64(uint64_t v);
+  size_t BeginLength(uint8_t tag);
+  void EndLength(size_t token);
   Bytes data_;
 };
 

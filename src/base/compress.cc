@@ -23,6 +23,10 @@ constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxMatch = 4 + 255;
 constexpr size_t kHashBuckets = 1 << 16;
 constexpr int kMaxChainProbes = 16;
+// A container's header raw size is untrusted: it is reserved up front only
+// up to this cap (above any checkpoint image the simulator cuts), and past
+// it the output grows with the bytes actually decoded.
+constexpr uint64_t kMaxUpfrontReserve = 64ull << 20;
 
 uint32_t HashTriple(const uint8_t* p) {
   uint32_t v;
@@ -218,6 +222,13 @@ Result<Bytes> LzDecompress(ByteSpan input) {
   }
   if (raw_size > (1ull << 36)) {
     return Corrupt("LzDecompress: implausible raw size");
+  }
+  // Every output byte comes from a literal (one body byte) or a match item
+  // (three body bytes for at most kMaxMatch), so the body bounds the raw
+  // size before anything is reserved for it.
+  const uint64_t body = input.size() - pos;
+  if (raw_size > body / 3 * kMaxMatch + body % 3) {
+    return Corrupt("LzDecompress: raw size exceeds what the body encodes");
   }
 
   Bytes out;
@@ -487,7 +498,7 @@ Result<Bytes> LzDecompressChunks(ByteSpan input,
   }
 
   Bytes out;
-  out.reserve(raw_size);
+  out.reserve(std::min(raw_size, kMaxUpfrontReserve));
   for (uint32_t i = 0; i < info.chunk_count; ++i) {
     uint32_t word = 0;
     if (!GetU32(input, pos, word)) {

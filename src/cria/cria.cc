@@ -61,8 +61,40 @@ std::vector<CheckpointedHandle> ClassifyAllHandles(Device& device, Pid pid,
   return out;
 }
 
+// Image bytes a segment's fields take beyond its content and strings: the
+// tags and length prefixes of name, kind, start, content, mapped size and
+// backing path.
+constexpr size_t kSegmentFieldBytes = 64;
+// Allowance per process for the small sections (identity, threads, fds,
+// handles, pending transactions, owned nodes) and, once per image, the
+// header and the app state.
+constexpr size_t kProcessMetadataBytes = 64 * 1024;
+
+// What serializing `segment`'s fields adds to an image or delta.
+size_t SegmentImageBytes(const MemorySegment& segment) {
+  return kSegmentFieldBytes + segment.name.size() +
+         segment.backing_path.size() + segment.content.size();
+}
+
+// Pre-size for a full image of `pids`, from their segment contents. An
+// estimate that falls short only costs the buffer one regrowth.
+size_t ImageCapacity(Device& device, const std::vector<Pid>& pids) {
+  size_t bytes = kProcessMetadataBytes;
+  for (const Pid pid : pids) {
+    if (const SimProcess* process = device.kernel().FindProcess(pid)) {
+      bytes += kProcessMetadataBytes;
+      for (const MemorySegment& segment :
+           process->address_space().segments()) {
+        bytes += SegmentImageBytes(segment);
+      }
+    }
+  }
+  return bytes;
+}
+
 // Serializes everything process-local: identity, threads, memory, fds,
 // classified handles, pending async transactions, owned Binder nodes.
+// Each part is an in-place section of `out`.
 Status SerializeProcess(Device& device, Pid pid, ArchiveWriter& out,
                         CriaStats& stats) {
   SimProcess* process = device.kernel().FindProcess(pid);
@@ -89,72 +121,71 @@ Status SerializeProcess(Device& device, Pid pid, ArchiveWriter& out,
   ++stats.processes;
 
   // ----- threads -----
-  ArchiveWriter threads;
-  threads.PutU64(process->threads().size());
+  const size_t threads = out.BeginSection();
+  out.PutU64(process->threads().size());
   for (const SimThread& t : process->threads()) {
-    threads.PutI64(t.tid);
-    threads.PutString(t.name);
-    threads.PutU8(static_cast<uint8_t>(t.state));
-    threads.PutU64(t.stack_size);
-    threads.PutI64(t.priority);
+    out.PutI64(t.tid);
+    out.PutString(t.name);
+    out.PutU8(static_cast<uint8_t>(t.state));
+    out.PutU64(t.stack_size);
+    out.PutI64(t.priority);
     ++stats.threads;
   }
-  out.PutSection(threads);
+  out.EndSection(threads);
 
   // ----- memory segments -----
-  ArchiveWriter memory;
+  const size_t memory = out.BeginSection();
   const auto& segments = process->address_space().segments();
-  memory.PutU64(segments.size());
+  out.PutU64(segments.size());
   for (const MemorySegment& segment : segments) {
     if (segment.kind == SegmentKind::kPmem) {
       return FailedPrecondition("pmem segment present at checkpoint");
     }
-    memory.PutString(segment.name);
-    memory.PutU8(static_cast<uint8_t>(segment.kind));
-    memory.PutU64(segment.start);
+    out.PutString(segment.name);
+    out.PutU8(static_cast<uint8_t>(segment.kind));
+    out.PutU64(segment.start);
     if (segment.checkpointed()) {
-      memory.PutBytes(
-          ByteSpan(segment.content.data(), segment.content.size()));
+      out.PutBytes(ByteSpan(segment.content.data(), segment.content.size()));
       stats.memory_bytes += segment.content.size();
       ++stats.segments;
     } else {
-      memory.PutBytes({});
-      memory.PutU64(segment.mapped_size);
-      memory.PutString(segment.backing_path);
+      out.PutBytes({});
+      out.PutU64(segment.mapped_size);
+      out.PutString(segment.backing_path);
       ++stats.file_mappings;
     }
   }
-  out.PutSection(memory);
+  out.EndSection(memory);
 
   // ----- file descriptors -----
-  ArchiveWriter fds;
-  fds.PutU64(process->fd_table().size());
+  const size_t fds = out.BeginSection();
+  out.PutU64(process->fd_table().size());
   for (const auto& [fd, object] : process->fd_table()) {
-    fds.PutI64(fd);
-    fds.PutU8(static_cast<uint8_t>(object->kind()));
+    out.PutI64(fd);
+    out.PutU8(static_cast<uint8_t>(object->kind()));
     switch (object->kind()) {
       case FdKind::kRegularFile: {
         const auto* file = static_cast<const RegularFileFd*>(object.get());
-        fds.PutString(file->path());
-        fds.PutU64(file->offset());
-        fds.PutBool(file->writable());
+        out.PutString(file->path());
+        out.PutU64(file->offset());
+        out.PutBool(file->writable());
         break;
       }
       case FdKind::kUnixSocket: {
         const auto* socket = static_cast<const UnixSocketFd*>(object.get());
-        fds.PutString(socket->peer_tag());
-        fds.PutU64(socket->connection_id());
+        out.PutString(socket->peer_tag());
+        out.PutU64(socket->connection_id());
         break;
       }
       case FdKind::kAshmem: {
         const auto* region = static_cast<const AshmemFd*>(object.get());
-        fds.PutString(region->name());
-        fds.PutU64(region->size());
+        out.PutString(region->name());
+        out.PutU64(region->size());
         break;
       }
       case FdKind::kLogger: {
         const auto* logger = static_cast<const LoggerFd*>(object.get());
-        fds.PutString(logger->log_name());
+        out.PutString(logger->log_name());
         break;
       }
       case FdKind::kBinder:
@@ -168,47 +199,47 @@ Status SerializeProcess(Device& device, Pid pid, ArchiveWriter& out,
     }
     ++stats.fds;
   }
-  out.PutSection(fds);
+  out.EndSection(fds);
 
   // ----- Binder handle table (classified) -----
-  ArchiveWriter handles;
+  const size_t handles = out.BeginSection();
   const auto classified = ClassifyAllHandles(device, pid, process->uid());
-  handles.PutU64(classified.size());
+  out.PutU64(classified.size());
   for (const CheckpointedHandle& handle : classified) {
-    handles.PutU64(handle.handle);
-    handles.PutU64(handle.node_id);
-    handles.PutI64(handle.strong_refs);
-    handles.PutI64(handle.weak_refs);
-    handles.PutU8(static_cast<uint8_t>(handle.cls));
-    handles.PutString(handle.service_name);
-    handles.PutString(handle.interface);
+    out.PutU64(handle.handle);
+    out.PutU64(handle.node_id);
+    out.PutI64(handle.strong_refs);
+    out.PutI64(handle.weak_refs);
+    out.PutU8(static_cast<uint8_t>(handle.cls));
+    out.PutString(handle.service_name);
+    out.PutString(handle.interface);
     ++stats.handles;
   }
-  out.PutSection(handles);
+  out.EndSection(handles);
 
   // ----- pending async transactions (Binder buffers) -----
-  ArchiveWriter pending;
+  const size_t pending = out.BeginSection();
   const auto& queue = device.binder().PendingFor(pid);
-  pending.PutU64(queue.size());
+  out.PutU64(queue.size());
   for (const PendingAsyncTransaction& txn : queue) {
-    pending.PutU64(txn.node_id);
-    pending.PutString(txn.method);
-    ArchiveWriter args;
-    txn.args.Serialize(args);
-    pending.PutSection(args);
+    out.PutU64(txn.node_id);
+    out.PutString(txn.method);
+    const size_t args = out.BeginSection();
+    txn.args.Serialize(out);
+    out.EndSection(args);
     ++stats.pending_transactions;
   }
-  out.PutSection(pending);
+  out.EndSection(pending);
 
   // ----- app-owned Binder nodes (internal connections, §3.3) -----
-  ArchiveWriter owned;
+  const size_t owned = out.BeginSection();
   const auto owned_nodes = device.binder().NodesOwnedBy(pid);
-  owned.PutU64(owned_nodes.size());
+  out.PutU64(owned_nodes.size());
   for (const auto& [node_id, interface] : owned_nodes) {
-    owned.PutU64(node_id);
-    owned.PutString(interface);
+    out.PutU64(node_id);
+    out.PutString(interface);
   }
-  out.PutSection(owned);
+  out.EndSection(owned);
   return OkStatus();
 }
 
@@ -580,30 +611,33 @@ Result<CriaCheckpointResult> Cria::CheckpointTree(
   check.allow_multiprocess = pids.size() > 1;
   FLUX_RETURN_IF_ERROR(CheckMigratable(device, pids.front(), check));
 
+  // Every section is written in place into the one image buffer, so each
+  // memory byte is copied once.
   CriaStats stats;
   ArchiveWriter image;
+  image.Reserve(ImageCapacity(device, pids));
   image.PutU32(kImageMagic);
   image.PutU32(kImageVersion);
 
   // ----- identity -----
-  ArchiveWriter header;
-  header.PutString(thread.package());
-  header.PutI64(main->uid());
-  header.PutU64(device.clock().now());
-  header.PutU64(pids.size());
-  image.PutSection(header);
+  const size_t header = image.BeginSection();
+  image.PutString(thread.package());
+  image.PutI64(main->uid());
+  image.PutU64(device.clock().now());
+  image.PutU64(pids.size());
+  image.EndSection(header);
 
   // ----- per-process state, main first -----
   for (const Pid pid : pids) {
-    ArchiveWriter process_section;
-    FLUX_RETURN_IF_ERROR(SerializeProcess(device, pid, process_section, stats));
-    image.PutSection(process_section);
+    const size_t process_section = image.BeginSection();
+    FLUX_RETURN_IF_ERROR(SerializeProcess(device, pid, image, stats));
+    image.EndSection(process_section);
   }
 
   // ----- Dalvik-level app state (the ActivityThread object graph) -----
-  ArchiveWriter app_state;
-  thread.SaveState(app_state);
-  image.PutSection(app_state);
+  const size_t app_state = image.BeginSection();
+  thread.SaveState(image);
+  image.EndSection(app_state);
 
   CriaCheckpointResult result;
   result.image = image.TakeData();
@@ -650,42 +684,55 @@ Result<CriaIncrementalResult> Cria::CheckpointIncremental(
     return InvalidArgument("no processes to checkpoint");
   }
   FLUX_TRACE_SPAN(span, trace, trace_names::kSpanCriaPreDump);
-  CriaStats stats;
-  ArchiveWriter delta;
-  delta.PutU32(kDeltaMagic);
-  delta.PutU32(kDeltaVersion);
-
-  ArchiveWriter header;
-  header.PutU64(device.clock().now());
-  header.PutU64(epoch);
-  header.PutU64(pids.size());
-  delta.PutSection(header);
-
+  // The dirty segments of each process, which also size the delta buffer.
+  struct DirtyProcess {
+    const SimProcess* process;
+    std::vector<const MemorySegment*> segments;
+  };
+  std::vector<DirtyProcess> dirty;
+  size_t capacity = kProcessMetadataBytes;
   for (const Pid pid : pids) {
-    SimProcess* process = device.kernel().FindProcess(pid);
+    const SimProcess* process = device.kernel().FindProcess(pid);
     if (process == nullptr) {
       return NotFound(StrFormat("no process %d", pid));
     }
-    ++stats.processes;
-    ArchiveWriter section;
-    section.PutString(process->name());
-    std::vector<const MemorySegment*> dirty;
+    capacity += kProcessMetadataBytes;
+    DirtyProcess& entry = dirty.emplace_back(DirtyProcess{process, {}});
     for (const MemorySegment& segment :
          process->address_space().segments()) {
       if (segment.checkpointed() && segment.dirty_gen >= epoch) {
-        dirty.push_back(&segment);
+        entry.segments.push_back(&segment);
+        capacity += SegmentImageBytes(segment);
       }
     }
-    section.PutU64(dirty.size());
-    for (const MemorySegment* segment : dirty) {
-      section.PutU64(segment->start);
-      section.PutString(segment->name);
-      section.PutBytes(
+  }
+
+  CriaStats stats;
+  ArchiveWriter delta;
+  delta.Reserve(capacity);
+  delta.PutU32(kDeltaMagic);
+  delta.PutU32(kDeltaVersion);
+
+  const size_t header = delta.BeginSection();
+  delta.PutU64(device.clock().now());
+  delta.PutU64(epoch);
+  delta.PutU64(pids.size());
+  delta.EndSection(header);
+
+  for (const DirtyProcess& entry : dirty) {
+    ++stats.processes;
+    const size_t section = delta.BeginSection();
+    delta.PutString(entry.process->name());
+    delta.PutU64(entry.segments.size());
+    for (const MemorySegment* segment : entry.segments) {
+      delta.PutU64(segment->start);
+      delta.PutString(segment->name);
+      delta.PutBytes(
           ByteSpan(segment->content.data(), segment->content.size()));
       stats.memory_bytes += segment->content.size();
       ++stats.segments;
     }
-    delta.PutSection(section);
+    delta.EndSection(section);
   }
 
   CriaIncrementalResult result;
@@ -754,7 +801,11 @@ Result<Bytes> Cria::ApplyIncremental(ByteSpan base_image, ByteSpan delta) {
   if (magic != kImageMagic || version != kImageVersion) {
     return Corrupt("not a CRIA image (bad magic/version)");
   }
+  // Patched segments keep their size and the header its field widths, so
+  // the output is exactly the base image's size; every section is written
+  // in place.
   ArchiveWriter out;
+  out.Reserve(base_image.size());
   out.PutU32(kImageMagic);
   out.PutU32(kImageVersion);
 
@@ -773,18 +824,18 @@ Result<Bytes> Cria::ApplyIncremental(ByteSpan base_image, ByteSpan delta) {
         "process tree changed since the base checkpoint; take a full "
         "checkpoint");
   }
-  ArchiveWriter header;
-  header.PutString(package);
-  header.PutI64(uid);
-  header.PutU64(new_time);
-  header.PutU64(process_count);
-  out.PutSection(header);
+  const size_t header = out.BeginSection();
+  out.PutString(package);
+  out.PutI64(uid);
+  out.PutU64(new_time);
+  out.PutU64(process_count);
+  out.EndSection(header);
 
   size_t applied = 0;
   for (uint64_t p = 0; p < process_count; ++p) {
     ArchiveReader section({});
     FLUX_RETURN_IF_ERROR(base.GetSection(section));
-    ArchiveWriter patched;
+    const size_t patched = out.BeginSection();
 
     std::string process_name;
     int64_t virtual_pid = -1;
@@ -795,20 +846,20 @@ Result<Bytes> Cria::ApplyIncremental(ByteSpan base_image, ByteSpan delta) {
           "process order changed since the base checkpoint; take a full "
           "checkpoint");
     }
-    patched.PutString(process_name);
-    patched.PutI64(virtual_pid);
+    out.PutString(process_name);
+    out.PutI64(virtual_pid);
 
     ByteSpan threads;
     FLUX_RETURN_IF_ERROR(section.GetSectionRaw(threads));
-    patched.PutSectionRaw(threads);
+    out.PutSectionRaw(threads);
 
     // ----- memory section: substitute patched segment contents -----
     ArchiveReader memory({});
     FLUX_RETURN_IF_ERROR(section.GetSection(memory));
-    ArchiveWriter patched_memory;
+    const size_t patched_memory = out.BeginSection();
     uint64_t segment_count = 0;
     FLUX_RETURN_IF_ERROR(memory.GetU64(segment_count));
-    patched_memory.PutU64(segment_count);
+    out.PutU64(segment_count);
     for (uint64_t i = 0; i < segment_count; ++i) {
       std::string name;
       uint8_t kind = 0;
@@ -818,9 +869,9 @@ Result<Bytes> Cria::ApplyIncremental(ByteSpan base_image, ByteSpan delta) {
       FLUX_RETURN_IF_ERROR(memory.GetU8(kind));
       FLUX_RETURN_IF_ERROR(memory.GetU64(start));
       FLUX_RETURN_IF_ERROR(memory.GetBytesView(content));
-      patched_memory.PutString(name);
-      patched_memory.PutU8(kind);
-      patched_memory.PutU64(start);
+      out.PutString(name);
+      out.PutU8(kind);
+      out.PutU64(start);
       auto patch = patches[p].segments.find(start);
       if (patch != patches[p].segments.end()) {
         if (patch->second.size() != content.size()) {
@@ -828,32 +879,32 @@ Result<Bytes> Cria::ApplyIncremental(ByteSpan base_image, ByteSpan delta) {
               "dirty segment changed size since the base checkpoint; take "
               "a full checkpoint");
         }
-        patched_memory.PutBytes(patch->second);
+        out.PutBytes(patch->second);
         ++applied;
       } else {
-        patched_memory.PutBytes(content);
+        out.PutBytes(content);
       }
       if (!KindCheckpointed(static_cast<SegmentKind>(kind))) {
         uint64_t mapped_size = 0;
         std::string backing_path;
         FLUX_RETURN_IF_ERROR(memory.GetU64(mapped_size));
         FLUX_RETURN_IF_ERROR(memory.GetString(backing_path));
-        patched_memory.PutU64(mapped_size);
-        patched_memory.PutString(backing_path);
+        out.PutU64(mapped_size);
+        out.PutString(backing_path);
       }
     }
-    patched.PutSection(patched_memory);
+    out.EndSection(patched_memory);
 
     // fds, handles, pending transactions, owned nodes: pass through.
     for (int s = 0; s < 4; ++s) {
       ByteSpan raw;
       FLUX_RETURN_IF_ERROR(section.GetSectionRaw(raw));
-      patched.PutSectionRaw(raw);
+      out.PutSectionRaw(raw);
     }
     if (!section.AtEnd()) {
       return Corrupt("trailing bytes in CRIA process section");
     }
-    out.PutSection(patched);
+    out.EndSection(patched);
   }
 
   ByteSpan app_state;

@@ -537,18 +537,20 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
       if (guest_cache.HasValid(hashes[i])) {
         continue;
       }
-      // Compress for the wire, with the dedup container's stored fallback
-      // for incompressible chunks.
-      const ByteSpan chunk(image_span.data() + begin, len);
-      uint64_t wire = len;
-      if (config_.compress_image) {
-        const Bytes packed = LzCompress(chunk);
-        if (packed.size() < len) {
-          wire = packed.size();
-        }
-      }
-      plan_chunks.push_back({i, begin, len, wire});
+      plan_chunks.push_back({i, begin, len, len});
       r.pending_raw_bytes += len;
+    }
+    if (config_.compress_image) {
+      // Size each pending chunk for the wire on the compression pool, with
+      // the dedup container's stored fallback for incompressible chunks.
+      CompressionPool()->ParallelForChunked(
+          plan_chunks.size(), [&](size_t first, size_t last) {
+            for (size_t k = first; k < last; ++k) {
+              Planned& p = plan_chunks[k];
+              p.wire = std::min(
+                  p.len, LzCompressedSize(image_span.subspan(p.begin, p.len)));
+            }
+          });
     }
     r.pending_chunks = static_cast<uint32_t>(plan_chunks.size());
     pre.dirty_bytes += r.pending_raw_bytes;

@@ -82,6 +82,26 @@ TEST(CompressTest, CorruptedBodyFailsOrMismatches) {
   }
 }
 
+// Overwrites the little-endian integer of `width` bytes at `offset`.
+void PokeLe(Bytes& data, size_t offset, uint64_t value, int width) {
+  for (int i = 0; i < width; ++i) {
+    data[offset + static_cast<size_t>(i)] =
+        static_cast<uint8_t>(value >> (8 * i));
+  }
+}
+
+TEST(CompressTest, RawSizeTheBodyCannotEncodeRejected) {
+  // A 12-byte FLZ1 stream (magic + raw size, no body) claiming 2^36 raw
+  // bytes: the header is untrusted, so this is corrupt input, not a
+  // 64 GiB allocation.
+  Bytes stream = LzCompress({});
+  ASSERT_EQ(stream.size(), 12u);
+  PokeLe(stream, 4, 1ull << 36, 8);
+  auto raw = LzDecompress(ByteSpan(stream.data(), stream.size()));
+  ASSERT_FALSE(raw.ok());
+  EXPECT_EQ(raw.status().code(), StatusCode::kCorrupt);
+}
+
 // Property sweep: round-trip across sizes and compressibilities.
 class CompressRoundTrip
     : public ::testing::TestWithParam<std::tuple<int, double>> {};
@@ -180,6 +200,19 @@ TEST(ChunkedCompressTest, CorruptContainerRejected) {
   tampered[16] ^= 0x01;
   auto raw = LzDecompressChunks(ByteSpan(tampered.data(), tampered.size()));
   EXPECT_FALSE(raw.ok());
+}
+
+TEST(ChunkedCompressTest, HugeClaimedRawSizeRejectedWithoutReserving) {
+  // A 20-byte FLZC header claiming 2^36 raw bytes in 17 chunks of
+  // 2^32 - 1 bytes (a consistent chunk count) and carrying no chunks.
+  Bytes container = LzCompressChunks({}, 64 * 1024);
+  ASSERT_EQ(container.size(), 20u);
+  PokeLe(container, 4, 1ull << 36, 8);
+  PokeLe(container, 12, 0xFFFFFFFFu, 4);
+  PokeLe(container, 16, 17, 4);
+  auto raw = LzDecompressChunks(ByteSpan(container.data(), container.size()));
+  ASSERT_FALSE(raw.ok());
+  EXPECT_EQ(raw.status().code(), StatusCode::kCorrupt);
 }
 
 // ----- FluxHash128 -----
@@ -532,6 +565,91 @@ TEST(ArchiveTest, StreamedBytesMatchPutBytes) {
   streamed.PutString("tail");
 
   EXPECT_EQ(whole.data(), streamed.data());
+}
+
+TEST(ArchiveTest, InPlaceSectionsMatchPutSection) {
+  const Bytes content = GenerateContent(45, 20000, 0.5);
+
+  // Staged: every nesting level in its own writer, embedded by PutSection.
+  ArchiveWriter leaf;
+  leaf.PutString("leaf");
+  leaf.PutBytes(ByteSpan(content.data(), content.size()));
+  const ArchiveWriter empty;
+  ArchiveWriter middle;
+  middle.PutU64(3);
+  middle.PutSection(leaf);
+  middle.PutSection(empty);
+  middle.PutU32(9);
+  ArchiveWriter staged;
+  staged.PutU32(1);
+  staged.PutSection(middle);
+  staged.PutSection(empty);
+  staged.PutSection(leaf);
+  staged.PutString("tail");
+
+  // In place: nested, empty, holding a streamed bytes field, and mixed
+  // with PutSection. The reservation is far too small, so the buffer
+  // regrows while sections are open.
+  ArchiveWriter in_place;
+  in_place.Reserve(8);
+  in_place.PutU32(1);
+  const size_t middle_token = in_place.BeginSection();
+  in_place.PutU64(3);
+  const size_t leaf_token = in_place.BeginSection();
+  in_place.PutString("leaf");
+  const size_t bytes_token = in_place.BeginBytes();
+  in_place.AppendRaw(ByteSpan(content.data(), content.size()));
+  in_place.EndBytes(bytes_token);
+  in_place.EndSection(leaf_token);
+  in_place.EndSection(in_place.BeginSection());
+  in_place.PutU32(9);
+  in_place.EndSection(middle_token);
+  in_place.EndSection(in_place.BeginSection());
+  in_place.PutSection(leaf);
+  in_place.PutString("tail");
+
+  EXPECT_EQ(staged.data(), in_place.data());
+}
+
+TEST(ArchiveTest, LengthNearTwoToThe64IsCorrupt) {
+  // 17-byte archives: a tag, an 8-byte length and 8 content bytes. A length
+  // of 2^64 - 8 makes `position + length` wrap around to 1, inside the
+  // buffer, so a wrapping bounds check accepts it.
+  const uint64_t huge = ~uint64_t{0} - 7;
+  const Bytes content(8, 0x5A);
+  auto forge = [huge](ArchiveWriter writer) {
+    Bytes data = writer.TakeData();
+    EXPECT_EQ(data.size(), 17u);
+    PokeLe(data, 1, huge, 8);
+    return data;
+  };
+  ArchiveWriter string_writer;
+  string_writer.PutString("ZZZZZZZZ");
+  ArchiveWriter bytes_writer;
+  bytes_writer.PutBytes(ByteSpan(content.data(), content.size()));
+  ArchiveWriter section_writer;
+  section_writer.PutSectionRaw(ByteSpan(content.data(), content.size()));
+  const Bytes string_archive = forge(std::move(string_writer));
+  const Bytes bytes_archive = forge(std::move(bytes_writer));
+  const Bytes section_archive = forge(std::move(section_writer));
+  auto reader = [](const Bytes& data) {
+    return ArchiveReader(ByteSpan(data.data(), data.size()));
+  };
+
+  ByteSpan view;
+  EXPECT_EQ(reader(bytes_archive).GetBytesView(view).code(),
+            StatusCode::kCorrupt);
+  ArchiveReader section({});
+  EXPECT_EQ(reader(section_archive).GetSection(section).code(),
+            StatusCode::kCorrupt);
+  EXPECT_EQ(reader(section_archive).GetSectionRaw(view).code(),
+            StatusCode::kCorrupt);
+  std::string text;
+  EXPECT_EQ(reader(string_archive).GetString(text).code(),
+            StatusCode::kCorrupt);
+  Bytes bytes;
+  EXPECT_EQ(reader(bytes_archive).GetBytes(bytes).code(),
+            StatusCode::kCorrupt);
 }
 
 TEST(ArchiveTest, GetBytesViewIsZeroCopyAndEquivalent) {

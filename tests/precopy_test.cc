@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/apps/app_instance.h"
+#include "src/base/hash.h"
 #include "src/cria/cria.h"
 #include "src/device/world.h"
 #include "src/flux/chunk_cache.h"
@@ -209,6 +210,35 @@ TEST_F(PrecopyCriaTest, SegmentMappedAfterBaseCutFallsBackToFullCheckpoint) {
       ByteSpan(delta->delta.data(), delta->delta.size()));
   ASSERT_FALSE(patched.ok());
   EXPECT_EQ(patched.status().code(), StatusCode::kUnsupported);
+}
+
+// The image bytes are a format, not an implementation detail: the guest
+// cache is keyed by their chunk hashes and the goldens by their sizes. A
+// rework of the CRIA writer that moves these digests changes the format.
+TEST_F(PrecopyCriaTest, ImageDeltaAndPatchBytesArePinned) {
+  PrepareApp();
+  const std::vector<Pid> pids = {app_->pid()};
+  auto base = Cria::CheckpointTree(*home_, pids, app_->thread());
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  const uint64_t epoch = Cria::BeginDirtyEpoch(*home_, pids);
+  DirtyHeap(8192, 4096, 0xE7);
+  world_.clock().Advance(Millis(50));
+  auto delta = Cria::CheckpointIncremental(*home_, pids, epoch);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  auto patched = Cria::ApplyIncremental(
+      ByteSpan(base->image.data(), base->image.size()),
+      ByteSpan(delta->delta.data(), delta->delta.size()));
+  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+
+  auto digest = [](const Bytes& bytes) {
+    return FluxHash128(ByteSpan(bytes.data(), bytes.size())).ToHex();
+  };
+  EXPECT_EQ(base->image.size(), 329742u);
+  EXPECT_EQ(digest(base->image), "144fd8079a60f5aea72afc257ba79d07");
+  EXPECT_EQ(delta->delta.size(), 262270u);
+  EXPECT_EQ(digest(delta->delta), "dc13d7974026e482d63db77ea4040426");
+  EXPECT_EQ(patched->size(), base->image.size());
+  EXPECT_EQ(digest(*patched), "902b9086cfa9d5d39882a9c34860964e");
 }
 
 // ----- end-to-end pre-copy migrations -----
