@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark): real wall-clock cost of the hot
 // paths — Binder transactions with and without the Flux record engine
 // interposed (the implementation-level version of Figure 16's claim),
-// parcel marshalling, the LZ codec, and CRIA checkpoint/restore throughput.
+// parcel marshalling, the LZ codec, FluxHash128 and the chunk cache's
+// verified probes, and CRIA checkpoint/restore throughput.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -12,6 +13,7 @@
 #include "src/base/thread_pool.h"
 #include "src/cria/cria.h"
 #include "src/device/world.h"
+#include "src/flux/chunk_cache.h"
 #include "src/flux/flux_agent.h"
 #include "src/flux/pairing.h"
 
@@ -158,6 +160,60 @@ void BM_LzDecompressChunks(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_LzDecompressChunks)->Arg(8 << 20);
+
+void BM_FluxHash128(benchmark::State& state) {
+  const Bytes input = GenerateContent(17, static_cast<uint64_t>(state.range(0)),
+                                      0.55);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FluxHash128(ByteSpan(input.data(), input.size())));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_FluxHash128)->Arg(256 << 10);
+
+void BM_LzChunkHashes(benchmark::State& state) {
+  // A 16 MiB image's 256 KiB chunk keys. Arg = pool width (0: inline).
+  const Bytes input = GenerateContent(19, 16 << 20, 0.55);
+  ThreadPool pool(static_cast<int>(state.range(0)));
+  ThreadPool* runner = state.range(0) > 0 ? &pool : nullptr;
+  for (auto _ : state) {
+    auto hashes = LzChunkHashes(ByteSpan(input.data(), input.size()),
+                                256 << 10, runner);
+    benchmark::DoNotOptimize(hashes);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(input.size()));
+}
+BENCHMARK(BM_LzChunkHashes)->Arg(0)->Arg(4)->UseRealTime();
+
+void BM_ChunkCacheBatchProbe(benchmark::State& state) {
+  // A manifest probe over 64 cached 256 KiB chunks, every one a verified
+  // hit. Arg 0: a HasValid loop; otherwise HasValidBatch on a pool of
+  // that width.
+  constexpr uint64_t kChunk = 256 << 10;
+  const Bytes image = GenerateContent(21, 64 * kChunk, 0.55);
+  const std::vector<Hash128> hashes =
+      LzChunkHashes(ByteSpan(image.data(), image.size()), kChunk);
+  ChunkCache cache(image.size());
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    cache.Insert(hashes[i], ByteSpan(image.data() + i * kChunk, kChunk));
+  }
+  ThreadPool pool(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      for (const Hash128& hash : hashes) {
+        benchmark::DoNotOptimize(cache.HasValid(hash));
+      }
+    } else {
+      auto valid = cache.HasValidBatch(hashes, &pool);
+      benchmark::DoNotOptimize(valid);
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(image.size()));
+}
+BENCHMARK(BM_ChunkCacheBatchProbe)->Arg(0)->Arg(4)->UseRealTime();
 
 // A launched app with a `heap_bytes` heap, its graphics state shed so a
 // checkpoint is legal.

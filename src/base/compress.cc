@@ -283,6 +283,24 @@ bool GetHash128(ByteSpan in, size_t& pos, Hash128& h) {
   return GetU64(in, pos, h.lo) && GetU64(in, pos, h.hi);
 }
 
+// Runs per_chunk(i) for every i in [0, count): across `pool` when given,
+// inline otherwise. The static contiguous split gives a deterministic
+// index->runner assignment and better locality than the dynamic grab loop
+// for the roughly equal-cost chunks here; outputs are identical either way.
+template <typename Fn>
+void ForEachChunk(ThreadPool* pool, size_t count, const Fn& per_chunk) {
+  auto run = [&per_chunk](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      per_chunk(i);
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelForChunked(count, run);
+  } else {
+    run(0, count);
+  }
+}
+
 }  // namespace
 
 bool LzChunkStreams::NeedsV2() const {
@@ -373,36 +391,25 @@ LzChunkStreams LzCompressChunkStreamsDeduped(ByteSpan input,
     }
     streams.chunks[i] = std::move(stream);
   };
-  if (pool != nullptr && count > 1) {
-    // Static contiguous chunking: deterministic index->runner assignment
-    // and better locality than the dynamic grab loop for the roughly
-    // equal-cost chunks here. Output bytes are identical either way.
-    pool->ParallelForChunked(count, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        encode_chunk(i);
-      }
-    });
-  } else {
-    for (size_t i = 0; i < count; ++i) {
-      encode_chunk(i);
-    }
-  }
+  ForEachChunk(pool, count, encode_chunk);
   if (streams.NeedsV2()) {
-    streams.content_hash = FluxHash128(input);
+    streams.content_hash = plan.content_hash.has_value()
+                               ? *plan.content_hash
+                               : FluxHash128(input);
   }
   return streams;
 }
 
-std::vector<Hash128> LzChunkHashes(ByteSpan input, uint32_t chunk_size) {
+std::vector<Hash128> LzChunkHashes(ByteSpan input, uint32_t chunk_size,
+                                   ThreadPool* pool) {
   const uint32_t size = chunk_size == 0 ? 256 * 1024 : chunk_size;
   const size_t count = (input.size() + size - 1) / size;
-  std::vector<Hash128> hashes;
-  hashes.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
+  std::vector<Hash128> hashes(count);
+  ForEachChunk(pool, count, [&](size_t i) {
     const size_t begin = i * static_cast<size_t>(size);
     const size_t len = std::min<size_t>(size, input.size() - begin);
-    hashes.push_back(FluxHash128(input.subspan(begin, len)));
-  }
+    hashes[i] = FluxHash128(input.subspan(begin, len));
+  });
   return hashes;
 }
 
@@ -478,7 +485,11 @@ Result<LzChunkContainerInfo> LzPeekChunkContainer(ByteSpan input) {
 }
 
 Result<Bytes> LzDecompressChunks(ByteSpan input,
-                                 const LzChunkRefResolver& resolver) {
+                                 const LzChunkRefResolver& resolver,
+                                 std::optional<Hash128>* digest) {
+  if (digest != nullptr) {
+    digest->reset();
+  }
   FLUX_ASSIGN_OR_RETURN(LzChunkContainerInfo info,
                         LzPeekChunkContainer(input));
   size_t pos = 4 + 8 + 4 + 4;  // past magic + raw size + chunk size + count
@@ -565,9 +576,14 @@ Result<Bytes> LzDecompressChunks(ByteSpan input,
   if (pos != input.size()) {
     return Corrupt("LzDecompressChunks: trailing bytes");
   }
-  if (info.v2 &&
-      FluxHash128(ByteSpan(out.data(), out.size())) != content_hash) {
-    return Corrupt("LzDecompressChunks: reassembled image fails its digest");
+  if (info.v2) {
+    const Hash128 reassembled = FluxHash128(ByteSpan(out.data(), out.size()));
+    if (reassembled != content_hash) {
+      return Corrupt("LzDecompressChunks: reassembled image fails its digest");
+    }
+    if (digest != nullptr) {
+      *digest = reassembled;
+    }
   }
   return out;
 }

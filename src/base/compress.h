@@ -37,6 +37,7 @@
 #define FLUX_SRC_BASE_COMPRESS_H_
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "src/base/bytes.h"
@@ -110,6 +111,11 @@ struct LzChunkDedupPlan {
   std::vector<Hash128> hashes;
   // ref_chunks[i] != 0 => the receiver holds chunk i; ship a 16-byte ref.
   std::vector<uint8_t> ref_chunks;
+  // The whole input's FluxHash128 when the caller already computed it: a v2
+  // container carries this value as its digest instead of the encoder
+  // hashing the input a second time. The caller vouches that it is the
+  // input's digest, as ChunkCache::Insert's caller vouches for a key.
+  std::optional<Hash128> content_hash;
 };
 
 // Dedup-aware variant: ref chunks skip compression entirely and serialize
@@ -121,8 +127,11 @@ LzChunkStreams LzCompressChunkStreamsDeduped(ByteSpan input,
                                              ThreadPool* pool,
                                              const LzChunkDedupPlan& plan);
 
-// FluxHash128 of each `chunk_size`-byte slice of `input`, in order.
-std::vector<Hash128> LzChunkHashes(ByteSpan input, uint32_t chunk_size);
+// FluxHash128 of each `chunk_size`-byte slice of `input`, in order. With
+// `pool`, the slices are hashed across its workers on the same static split
+// the compressor uses; the result is identical either way.
+std::vector<Hash128> LzChunkHashes(ByteSpan input, uint32_t chunk_size,
+                                   ThreadPool* pool = nullptr);
 
 // Frames chunk streams into one contiguous container.
 Bytes LzAssembleChunkContainer(const LzChunkStreams& streams);
@@ -159,10 +168,16 @@ using LzChunkRefResolver = std::function<bool(const Hash128& hash, Bytes& out)>;
 // Decompresses a container produced by LzCompressChunks /
 // LzAssembleChunkContainer. Chunks are independent streams, so output is
 // reassembled strictly in order; fails with kCorrupt on malformed input.
-// A v2 container containing ref chunks requires `resolver`; after
-// reassembly the whole-input digest is re-verified against the header.
+// A v2 container containing ref chunks requires `resolver`; every resolved
+// chunk is checked against its ref hash, and after reassembly the
+// whole-input digest is recomputed from the output and checked against the
+// header. `digest`, when given, receives that recomputed digest on success,
+// so a caller needing the output's FluxHash128 need not hash it again; it
+// is left empty for a v1 container (which carries no digest) and on any
+// failure.
 Result<Bytes> LzDecompressChunks(ByteSpan input,
-                                 const LzChunkRefResolver& resolver = nullptr);
+                                 const LzChunkRefResolver& resolver = nullptr,
+                                 std::optional<Hash128>* digest = nullptr);
 
 }  // namespace flux
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/base/thread_pool.h"
+
 namespace flux {
 
 void ChunkCache::set_tracer(Tracer* tracer) {
@@ -51,15 +53,56 @@ void ChunkCache::Insert(const Hash128& hash, ByteSpan content) {
   EvictToBudget();
 }
 
+bool ChunkCache::Intact(const Entry& entry) {
+  return FluxHash128(ByteSpan(entry.content.data(), entry.content.size())) ==
+         entry.hash;
+}
+
 bool ChunkCache::HasValid(const Hash128& hash) {
   auto it = index_.find(hash);
+  return Settle(it, it != index_.end() && Intact(*it->second));
+}
+
+std::vector<uint8_t> ChunkCache::HasValidBatch(std::span<const Hash128> hashes,
+                                               ThreadPool* pool) {
+  // Probes only bump or drop entries, never rewrite content, so each
+  // entry's verdict can be taken before any probe is applied. An entry
+  // listed twice is hashed once.
+  std::unordered_map<Hash128, size_t, Hash128Hasher> slot;
+  std::vector<const Entry*> entries;
+  for (const Hash128& hash : hashes) {
+    auto it = index_.find(hash);
+    if (it != index_.end() && slot.emplace(hash, entries.size()).second) {
+      entries.push_back(&*it->second);
+    }
+  }
+  std::vector<uint8_t> intact(entries.size(), 0);
+  auto verify = [&](size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) {
+      intact[k] = Intact(*entries[k]) ? 1 : 0;
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelForChunked(entries.size(), verify);
+  } else {
+    verify(0, entries.size());
+  }
+  std::vector<uint8_t> valid(hashes.size(), 0);
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    auto it = index_.find(hashes[i]);
+    valid[i] = Settle(it, it != index_.end() && intact[slot.at(hashes[i])]);
+  }
+  return valid;
+}
+
+bool ChunkCache::Settle(Index::iterator it, bool intact) {
   if (it == index_.end()) {
     ++stats_.misses;
     FLUX_TRACE_COUNTER_ADD(trace_misses_, 1);
     return false;
   }
   const Bytes& content = it->second->content;
-  if (FluxHash128(ByteSpan(content.data(), content.size())) != hash) {
+  if (!intact) {
     // Poisoned entry: drop it so the peer ships the full chunk.
     ++stats_.verify_failures;
     FLUX_TRACE_COUNTER_ADD(trace_verify_failures_, 1);

@@ -12,12 +12,15 @@
 // Entries are verified against their key on every query: a poisoned entry
 // (bit rot, a torn write) is indistinguishable from a miss, so the home
 // side ships the full chunk instead of letting a bad cache corrupt a
-// restore. Eviction is LRU by bytes against a per-device budget.
+// restore. A whole manifest can be probed at once (HasValidBatch), which
+// moves the re-hashes onto a worker pool but keeps every effect of a
+// HasValid loop. Eviction is LRU by bytes against a per-device budget.
 #ifndef FLUX_SRC_FLUX_CHUNK_CACHE_H_
 #define FLUX_SRC_FLUX_CHUNK_CACHE_H_
 
 #include <cstdint>
 #include <list>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +31,8 @@
 #include "src/flux/trace.h"
 
 namespace flux {
+
+class ThreadPool;
 
 // Raw bytes covered by one cache entry. Pairing-time seeding and the
 // migration engine must agree on this granularity or seeded entries can
@@ -59,6 +64,19 @@ class ChunkCache {
   // This is the manifest-time query: answering "have" for a poisoned entry
   // would make the home side ship an unusable ref.
   bool HasValid(const Hash128& hash);
+
+  // HasValid for every hash of `hashes`, with the re-hashes spread over
+  // `pool` (inline when null). Each entry the list names is re-hashed once
+  // on the pool's static split before anything changes; then, on the
+  // calling thread and in list order, each probe applies exactly what
+  // HasValid would: hit and miss counts, the drop, counter and flight
+  // event of a verify failure, and the most-recent bump of a hit. So the
+  // flags (1 = valid), stats(), bytes() and LRU order all match a HasValid
+  // loop over the same list; a poisoned hash listed twice reads as a
+  // verify failure and then a miss. Pool workers only read entry content,
+  // and the caller blocks until they finish.
+  std::vector<uint8_t> HasValidBatch(std::span<const Hash128> hashes,
+                                     ThreadPool* pool);
 
   // Fetches a verified copy of the entry into `out`; same verification and
   // LRU semantics as HasValid. Returns false on miss or verify failure.
@@ -101,13 +119,20 @@ class ChunkCache {
     Bytes content;
   };
   using Lru = std::list<Entry>;
+  using Index = std::unordered_map<Hash128, Lru::iterator, Hash128Hasher>;
 
+  // Whether the entry's content still hashes to its key.
+  static bool Intact(const Entry& entry);
+  // Applies one probe's outcome as HasValid does: a miss when `it` is the
+  // end, a most-recent bump when `intact`, a verify-failure drop otherwise.
+  // Returns whether the probe hit.
+  bool Settle(Index::iterator it, bool intact);
   void EvictToBudget();
 
   uint64_t budget_bytes_;
   uint64_t bytes_ = 0;
   Lru lru_;  // front = most recently used
-  std::unordered_map<Hash128, Lru::iterator, Hash128Hasher> index_;
+  Index index_;
   Stats stats_;
   TraceCounter* trace_hits_ = nullptr;
   TraceCounter* trace_misses_ = nullptr;

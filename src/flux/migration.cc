@@ -301,8 +301,9 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
   report.cria = cria.stats;
   report.image_raw_bytes = cria.image.size();
   // Digest of the raw image as checkpointed; the guest recomputes it after
-  // reassembly so tests can assert end-to-end byte identity. Host-side
-  // work only — no simulated time.
+  // reassembly so tests can assert end-to-end byte identity. It doubles as
+  // the FLZ2 container digest below, so the image is hashed whole once.
+  // Host-side work only — no simulated time.
   report.image_hash =
       FluxHash128(ByteSpan(cria.image.data(), cria.image.size()));
   if (!config_.pipelined) {
@@ -338,17 +339,19 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     if (config_.compress_image) {
       const ByteSpan image_span(cria.image.data(), cria.image.size());
       LzChunkDedupPlan plan;
+      plan.content_hash = report.image_hash;
       if (config_.chunk_dedup) {
         // Content-addressed delta transfer: hash every raw chunk, ask the
         // guest's cache which ones it already holds (the manifest bytes and
         // round trip are charged to the wire in TransferPipelined), and
         // ship hits as 16-byte refs. Every chunk also lands in the home
-        // cache so the return hop can dedup against this checkpoint.
+        // cache so the return hop can dedup against this checkpoint. Both
+        // hash passes run on the compression pool.
         DedupStats& dedup = report.dedup;
         dedup.enabled = true;
         plan.stored_fallback = true;
-        plan.hashes = LzChunkHashes(image_span, kMigrationChunkBytes);
-        plan.ref_chunks.assign(plan.hashes.size(), 0);
+        plan.hashes =
+            LzChunkHashes(image_span, kMigrationChunkBytes, CompressionPool());
         // The resume handshake re-offers exactly this manifest.
         payload_chunk_hashes_ = plan.hashes;
         if (config_.resume) {
@@ -358,19 +361,19 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
         }
         dedup.chunk_count = static_cast<uint32_t>(plan.hashes.size());
         dedup.manifest_wire_bytes = ManifestWireBytes(plan.hashes.size());
-        ChunkCache& guest_cache = guest_.chunk_cache();
+        plan.ref_chunks =
+            guest_.chunk_cache().HasValidBatch(plan.hashes, CompressionPool());
         ChunkCache& home_cache = home_.chunk_cache();
         for (size_t i = 0; i < plan.hashes.size(); ++i) {
           const uint64_t begin = uint64_t{i} * kMigrationChunkBytes;
           const uint64_t len = std::min<uint64_t>(kMigrationChunkBytes,
                                                   image_span.size() - begin);
-          const ByteSpan chunk(image_span.data() + begin, len);
-          if (guest_cache.HasValid(plan.hashes[i])) {
-            plan.ref_chunks[i] = 1;
+          if (plan.ref_chunks[i] != 0) {
             ++dedup.ref_chunks;
             dedup.ref_raw_bytes += len;
           }
-          home_cache.Insert(plan.hashes[i], chunk);
+          home_cache.Insert(plan.hashes[i],
+                            ByteSpan(image_span.data() + begin, len));
         }
       }
       LzChunkStreams streams = LzCompressChunkStreamsDeduped(
@@ -521,7 +524,9 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     // DirtyBytesSince) is what termination must reason about.
     const ByteSpan image_span(current.data(), current.size());
     const std::vector<Hash128> hashes =
-        LzChunkHashes(image_span, kMigrationChunkBytes);
+        LzChunkHashes(image_span, kMigrationChunkBytes, CompressionPool());
+    const std::vector<uint8_t> cached =
+        guest_cache.HasValidBatch(hashes, CompressionPool());
     r.chunk_count = static_cast<uint32_t>(hashes.size());
     struct Planned {
       size_t index;
@@ -534,7 +539,7 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
       const uint64_t begin = uint64_t{i} * kMigrationChunkBytes;
       const uint64_t len =
           std::min<uint64_t>(kMigrationChunkBytes, image_span.size() - begin);
-      if (guest_cache.HasValid(hashes[i])) {
+      if (cached[i] != 0) {
         continue;
       }
       plan_chunks.push_back({i, begin, len, len});
@@ -844,10 +849,9 @@ Status MigrationManager::AdvanceStream(ResumableStream& stream, SimTime target,
     // never travel again. Only the chunk that was in flight re-sends, in
     // full.
     uint32_t acked = 0;
-    for (const Hash128& hash : stream.manifest) {
-      if (guest_.chunk_cache().HasValid(hash)) {
-        ++acked;
-      }
+    for (const uint8_t held : guest_.chunk_cache().HasValidBatch(
+             stream.manifest, CompressionPool())) {
+      acked += held;
     }
     res.chunks_acked += acked;
     res.lost_bytes += resend_wire;
@@ -1291,6 +1295,7 @@ Result<CriaRestoredApp> MigrationManager::RestoreOnGuest(
   FLUX_RETURN_IF_ERROR(reader.GetBytesView(image_view));
   Bytes image_bytes;
   ByteSpan image = image_view;
+  std::optional<Hash128> container_digest;
   if (compressed) {
     if (LzIsChunkedStream(image_view)) {
       LzChunkRefResolver resolver;
@@ -1302,8 +1307,9 @@ Result<CriaRestoredApp> MigrationManager::RestoreOnGuest(
           return guest_.chunk_cache().Fetch(hash, out);
         };
       }
-      FLUX_ASSIGN_OR_RETURN(Bytes raw,
-                            LzDecompressChunks(image_view, resolver));
+      FLUX_ASSIGN_OR_RETURN(
+          Bytes raw,
+          LzDecompressChunks(image_view, resolver, &container_digest));
       image_bytes = std::move(raw);
     } else {
       FLUX_ASSIGN_OR_RETURN(Bytes raw, LzDecompress(image_view));
@@ -1319,20 +1325,27 @@ Result<CriaRestoredApp> MigrationManager::RestoreOnGuest(
     guest_device.context().SpendCpu(
         CpuCost(guest_device, image.size(), kRestoreMbps));
   }
-  report.restored_image_hash = FluxHash128(image);
+  // The decoder computed a v2 container's digest from the reassembled bytes
+  // and matched it; anything else is hashed here.
+  report.restored_image_hash = container_digest.has_value()
+                                   ? *container_digest
+                                   : FluxHash128(image);
   if (config_.chunk_dedup && LzIsChunkedStream(image_view)) {
     // Feed the reassembled image back into this device's cache at the
     // container's own chunk granularity: the next hop (either direction)
     // dedups against exactly these chunks. Content is verified — the
-    // container digest already matched.
+    // container digest already matched. The chunk keys are hashed on the
+    // compression pool.
     if (auto info = LzPeekChunkContainer(image_view);
         info.ok() && info.value().chunk_size > 0) {
-      const uint64_t chunk = info.value().chunk_size;
+      const uint32_t chunk = info.value().chunk_size;
+      const std::vector<Hash128> hashes =
+          LzChunkHashes(image, chunk, CompressionPool());
       ChunkCache& cache = guest_.chunk_cache();
-      for (uint64_t begin = 0; begin < image.size(); begin += chunk) {
+      for (size_t i = 0; i < hashes.size(); ++i) {
+        const uint64_t begin = uint64_t{i} * chunk;
         const uint64_t len = std::min<uint64_t>(chunk, image.size() - begin);
-        const ByteSpan slice(image.data() + begin, len);
-        cache.Insert(FluxHash128(slice), slice);
+        cache.Insert(hashes[i], image.subspan(begin, len));
       }
     }
   }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -138,11 +139,14 @@ TEST(ChunkedCompressTest, RoundTripByteIdentical) {
                                            container.size())) ||
                 size == 0)
         << size;
-    auto raw = LzDecompressChunks(ByteSpan(container.data(),
-                                           container.size()));
+    // A v1 container carries no digest, so none is reported.
+    std::optional<Hash128> digest = Hash128{};
+    auto raw = LzDecompressChunks(
+        ByteSpan(container.data(), container.size()), nullptr, &digest);
     ASSERT_TRUE(raw.ok()) << "size " << size << ": "
                           << raw.status().ToString();
     EXPECT_EQ(*raw, input) << size;
+    EXPECT_FALSE(digest.has_value()) << size;
   }
 }
 
@@ -157,6 +161,17 @@ TEST(ChunkedCompressTest, ParallelMatchesSerialBitForBit) {
   auto raw = LzDecompressChunks(ByteSpan(parallel.data(), parallel.size()));
   ASSERT_TRUE(raw.ok());
   EXPECT_EQ(*raw, input);
+
+  // Chunk hashes on the pool equal the inline ones, in order: empty input,
+  // one short chunk, an exact multiple of the chunk size, a short tail.
+  constexpr uint32_t kChunk = 64 * 1024;
+  for (const size_t size :
+       {size_t{0}, size_t{1000}, size_t{4 * kChunk}, size_t{4 * kChunk + 100}}) {
+    const ByteSpan span(input.data(), size);
+    const std::vector<Hash128> inline_hashes = LzChunkHashes(span, kChunk);
+    EXPECT_EQ(inline_hashes.size(), (size + kChunk - 1) / kChunk) << size;
+    EXPECT_EQ(LzChunkHashes(span, kChunk, &pool), inline_hashes) << size;
+  }
 }
 
 TEST(ChunkedCompressTest, StreamedFramingMatchesAssembled) {
@@ -340,11 +355,20 @@ TEST(DedupCompressTest, RefChunksRoundTripThroughResolver) {
   const Bytes container = LzAssembleChunkContainer(streams);
   const Bytes full = LzCompressChunks(span, kChunk);
   EXPECT_LT(container.size(), full.size());
+  // A digest the caller already holds is carried as is: same container.
+  plan.content_hash = FluxHash128(span);
+  EXPECT_EQ(LzAssembleChunkContainer(
+                LzCompressChunkStreamsDeduped(span, kChunk, nullptr, plan)),
+            container);
 
+  std::optional<Hash128> digest;
   auto raw = LzDecompressChunks(ByteSpan(container.data(), container.size()),
-                                ResolverOver(input, kChunk));
+                                ResolverOver(input, kChunk), &digest);
   ASSERT_TRUE(raw.ok()) << raw.status().ToString();
   EXPECT_EQ(*raw, input);
+  // The reported digest is the one recomputed from the reassembled bytes.
+  ASSERT_TRUE(digest.has_value());
+  EXPECT_EQ(*digest, FluxHash128(ByteSpan(raw->data(), raw->size())));
 }
 
 TEST(DedupCompressTest, RefWithoutResolverRejected) {
@@ -394,8 +418,12 @@ TEST(DedupCompressTest, TamperedV2BodyCaughtByContainerDigest) {
   // Flip a byte deep in a stored chunk's body: chunk framing still parses,
   // so only the whole-image digest can catch it.
   container[container.size() - 10] ^= 0x01;
-  auto raw = LzDecompressChunks(ByteSpan(container.data(), container.size()));
-  EXPECT_FALSE(raw.ok());
+  std::optional<Hash128> digest;
+  auto raw = LzDecompressChunks(ByteSpan(container.data(), container.size()),
+                                nullptr, &digest);
+  ASSERT_FALSE(raw.ok());
+  EXPECT_EQ(raw.status().code(), StatusCode::kCorrupt);
+  EXPECT_FALSE(digest.has_value());
 }
 
 // ----- thread pool -----

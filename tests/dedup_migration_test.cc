@@ -9,6 +9,7 @@
 #include <string>
 
 #include "src/apps/app_instance.h"
+#include "src/base/thread_pool.h"
 #include "src/device/world.h"
 #include "src/flux/chunk_cache.h"
 #include "src/flux/migration.h"
@@ -162,6 +163,41 @@ TEST(DedupMigrationTest, MissingGuestCacheEntriesFallBackToFullChunks) {
   EXPECT_EQ(hop2->image_hash, hop2->restored_image_hash);
 }
 
+TEST(DedupMigrationTest, EntryPoisonedAfterManifestRollsBack) {
+  RoundTripWorld tw;
+  tw.Boot("Candy Crush Saga");
+  MigrationConfig config = DedupConfig();
+  auto hop1 = tw.Hop(*tw.a_agent, *tw.b_agent, config);
+  ASSERT_TRUE(hop1.ok() && hop1->success);
+  const RunningApp on_b = tw.running;
+
+  // The return hop's manifest probe finds A's entries intact and ships
+  // refs; only then — after the payload is built, before it travels — does
+  // every entry in A's cache go bad.
+  ChunkCache& guest_cache = tw.a_agent->chunk_cache();
+  uint64_t hits_at_manifest = 0;
+  config.payload_fault = [&](Bytes&) {
+    hits_at_manifest = guest_cache.stats().hits;
+    for (const Hash128& key : guest_cache.Keys()) {
+      guest_cache.PoisonForTest(key);
+    }
+  };
+  ASSERT_TRUE(PairApp(*tw.b_agent, *tw.a_agent, *tw.spec).ok());
+  auto hop2 = tw.Hop(*tw.b_agent, *tw.a_agent, config);
+  EXPECT_GT(hits_at_manifest, 0u);
+
+  // Fetch re-hashes each ref'd entry, refuses it, and the decode fails
+  // loudly: the app rolls back to B and nothing is left running on A.
+  ASSERT_FALSE(hop2.ok());
+  EXPECT_EQ(hop2.status().code(), StatusCode::kCorrupt)
+      << hop2.status().ToString();
+  EXPECT_GT(guest_cache.stats().verify_failures, 0u);
+  EXPECT_NE(tw.b->kernel().FindProcess(on_b.pid), nullptr);
+  const PackageInfo* on_a = tw.a->package_manager().Find(tw.spec->package);
+  ASSERT_NE(on_a, nullptr);
+  EXPECT_TRUE(tw.a->kernel().ProcessesOfUid(on_a->uid).empty());
+}
+
 // The cache itself: budget-bounded LRU with verified reads.
 TEST(ChunkCacheTest, LruEvictionVerificationAndBudget) {
   ChunkCache cache(/*budget_bytes=*/1024);
@@ -198,6 +234,70 @@ TEST(ChunkCacheTest, LruEvictionVerificationAndBudget) {
   cache.Insert(FluxHash128(ByteSpan(huge.data(), huge.size())),
                ByteSpan(huge.data(), huge.size()));
   EXPECT_EQ(cache.entries(), 1u);
+}
+
+TEST(ChunkCacheTest, BatchProbeMatchesHasValidInOrder) {
+  std::vector<Bytes> chunks;
+  std::vector<Hash128> keys;
+  for (uint8_t fill : {0x11, 0x22, 0x33, 0x44}) {
+    chunks.emplace_back(400, fill);
+    keys.push_back(FluxHash128(ByteSpan(chunks.back().data(), 400)));
+  }
+  const Bytes absent(400, 0x55);
+  const Hash128 miss = FluxHash128(ByteSpan(absent.data(), absent.size()));
+  // A hit, a miss, the poisoned entry twice, the hit repeated, another
+  // hit. Applied in this order, the bumps leave keys[3] least recent, so it
+  // is the next victim; any other order or a missing bump changes that or
+  // the LRU order.
+  const std::vector<Hash128> probes = {keys[0], miss,    keys[1],
+                                       keys[1], keys[0], keys[2]};
+
+  ThreadPool pool(4);
+  for (ThreadPool* batch_pool : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    SCOPED_TRACE(batch_pool != nullptr ? "4-thread pool" : "no pool");
+    ChunkCache looped(/*budget_bytes=*/1700);
+    ChunkCache batched(/*budget_bytes=*/1700);
+    for (ChunkCache* cache : {&looped, &batched}) {
+      for (size_t i = 0; i < chunks.size(); ++i) {
+        cache->Insert(keys[i], ByteSpan(chunks[i].data(), chunks[i].size()));
+      }
+      ASSERT_TRUE(cache->PoisonForTest(keys[1]));
+    }
+
+    std::vector<uint8_t> looped_flags;
+    for (const Hash128& hash : probes) {
+      looped_flags.push_back(looped.HasValid(hash) ? 1 : 0);
+    }
+    const std::vector<uint8_t> batched_flags =
+        batched.HasValidBatch(probes, batch_pool);
+    EXPECT_EQ(looped_flags, (std::vector<uint8_t>{1, 0, 0, 0, 1, 1}));
+    EXPECT_EQ(batched_flags, looped_flags);
+
+    // Over-budget insert: each cache evicts its least recent entry.
+    const Bytes big(600, 0x66);
+    for (ChunkCache* cache : {&looped, &batched}) {
+      const ChunkCache::Stats& stats = cache->stats();
+      EXPECT_EQ(stats.hits, 3u);
+      EXPECT_EQ(stats.misses, 2u);
+      EXPECT_EQ(stats.verify_failures, 1u);
+      EXPECT_EQ(cache->bytes(), 1200u);
+      EXPECT_EQ(cache->Keys(),
+                (std::vector<Hash128>{keys[2], keys[0], keys[3]}));
+      cache->Insert(FluxHash128(ByteSpan(big.data(), big.size())),
+                    ByteSpan(big.data(), big.size()));
+      EXPECT_EQ(cache->stats().evictions, 1u);
+    }
+    EXPECT_EQ(batched.Keys(), looped.Keys());
+    EXPECT_EQ(batched.bytes(), looped.bytes());
+    const ChunkCache::Stats& a = looped.stats();
+    const ChunkCache::Stats& b = batched.stats();
+    EXPECT_EQ(b.insertions, a.insertions);
+    EXPECT_EQ(b.refreshes, a.refreshes);
+    EXPECT_EQ(b.hits, a.hits);
+    EXPECT_EQ(b.misses, a.misses);
+    EXPECT_EQ(b.verify_failures, a.verify_failures);
+    EXPECT_EQ(b.evictions, a.evictions);
+  }
 }
 
 }  // namespace
