@@ -283,24 +283,6 @@ bool GetHash128(ByteSpan in, size_t& pos, Hash128& h) {
   return GetU64(in, pos, h.lo) && GetU64(in, pos, h.hi);
 }
 
-// Runs per_chunk(i) for every i in [0, count): across `pool` when given,
-// inline otherwise. The static contiguous split gives a deterministic
-// index->runner assignment and better locality than the dynamic grab loop
-// for the roughly equal-cost chunks here; outputs are identical either way.
-template <typename Fn>
-void ForEachChunk(ThreadPool* pool, size_t count, const Fn& per_chunk) {
-  auto run = [&per_chunk](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      per_chunk(i);
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelForChunked(count, run);
-  } else {
-    run(0, count);
-  }
-}
-
 }  // namespace
 
 bool LzChunkStreams::NeedsV2() const {

@@ -73,6 +73,24 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
+// Runs fn(i) for every i in [0, n): over `pool`'s static split
+// (ParallelForChunked) when given, inline otherwise. The split suits
+// roughly equal-cost items such as image chunks; results written per index
+// are identical either way.
+template <typename Fn>
+void ForEachChunk(ThreadPool* pool, size_t n, const Fn& fn) {
+  auto run = [&fn](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      fn(i);
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelForChunked(n, run);
+  } else {
+    run(0, n);
+  }
+}
+
 }  // namespace flux
 
 #endif  // FLUX_SRC_BASE_THREAD_POOL_H_

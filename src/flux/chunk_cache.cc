@@ -65,32 +65,22 @@ bool ChunkCache::HasValid(const Hash128& hash) {
 
 std::vector<uint8_t> ChunkCache::HasValidBatch(std::span<const Hash128> hashes,
                                                ThreadPool* pool) {
-  // Probes only bump or drop entries, never rewrite content, so each
-  // entry's verdict can be taken before any probe is applied. An entry
-  // listed twice is hashed once.
-  std::unordered_map<Hash128, size_t, Hash128Hasher> slot;
-  std::vector<const Entry*> entries;
-  for (const Hash128& hash : hashes) {
-    auto it = index_.find(hash);
-    if (it != index_.end() && slot.emplace(hash, entries.size()).second) {
-      entries.push_back(&*it->second);
-    }
-  }
-  std::vector<uint8_t> intact(entries.size(), 0);
-  auto verify = [&](size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) {
-      intact[k] = Intact(*entries[k]) ? 1 : 0;
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelForChunked(entries.size(), verify);
-  } else {
-    verify(0, entries.size());
-  }
-  std::vector<uint8_t> valid(hashes.size(), 0);
+  // Probes only bump or drop entries, never rewrite content, so every
+  // verdict can be taken before any probe is applied.
+  std::vector<const Entry*> entries(hashes.size(), nullptr);
   for (size_t i = 0; i < hashes.size(); ++i) {
     auto it = index_.find(hashes[i]);
-    valid[i] = Settle(it, it != index_.end() && intact[slot.at(hashes[i])]);
+    if (it != index_.end()) {
+      entries[i] = &*it->second;
+    }
+  }
+  std::vector<uint8_t> valid(hashes.size(), 0);
+  ForEachChunk(pool, hashes.size(), [&](size_t i) {
+    valid[i] = entries[i] != nullptr && Intact(*entries[i]) ? 1 : 0;
+  });
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    auto it = index_.find(hashes[i]);
+    valid[i] = Settle(it, it != index_.end() && valid[i] != 0) ? 1 : 0;
   }
   return valid;
 }

@@ -66,8 +66,9 @@ class ChunkCache {
   bool HasValid(const Hash128& hash);
 
   // HasValid for every hash of `hashes`, with the re-hashes spread over
-  // `pool` (inline when null). Each entry the list names is re-hashed once
-  // on the pool's static split before anything changes; then, on the
+  // `pool` (inline when null). Every list position that names an entry is
+  // re-hashed on the pool's static split before anything changes (a hash
+  // listed twice is re-hashed twice, as in the loop); then, on the
   // calling thread and in list order, each probe applies exactly what
   // HasValid would: hit and miss counts, the drop, counter and flight
   // event of a verify failure, and the most-recent bump of a hit. So the
