@@ -249,33 +249,6 @@ void BM_CriaCheckpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_CriaCheckpoint)->Arg(1 << 20)->Arg(16 << 20);
 
-void BM_CriaApplyIncremental(benchmark::State& state) {
-  // A pre-copy round's patch: a delta holding one dirty segment (the heap)
-  // applied over the previous full image.
-  PreparedAppFixture fixture(static_cast<uint64_t>(state.range(0)));
-  const std::vector<Pid> pids = {fixture.app->pid()};
-  const Bytes base =
-      Cria::CheckpointTree(*fixture.device, pids, fixture.app->thread())
-          .value()
-          .image;
-  const uint64_t epoch = Cria::BeginDirtyEpoch(*fixture.device, pids);
-  AddressSpace& space =
-      fixture.device->kernel().FindProcess(pids[0])->address_space();
-  const Bytes write(4096, 0xE7);
-  (void)space.Write(space.FindByName("dalvik-heap")->start, 0,
-                    ByteSpan(write.data(), write.size()));
-  const Bytes delta =
-      Cria::CheckpointIncremental(*fixture.device, pids, epoch).value().delta;
-  for (auto _ : state) {
-    auto patched = Cria::ApplyIncremental(ByteSpan(base.data(), base.size()),
-                                          ByteSpan(delta.data(), delta.size()));
-    benchmark::DoNotOptimize(patched);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(base.size()));
-}
-BENCHMARK(BM_CriaApplyIncremental)->Arg(1 << 20)->Arg(16 << 20);
-
 void BM_RecordPruning(benchmark::State& state) {
   // Steady-state log pruning: enqueue/cancel churn at a bounded log size.
   BinderFixtureState fixture;

@@ -8,17 +8,23 @@ Usage:
 `report` mode gates the forensic-report JSON schema (the output of
 WriteForensicReport / the forensics_demo example) and keeps the event
 taxonomy honest: every flight_events constant registered in
-flight_recorder.h must appear in OBSERVABILITY.md, and every event name in
-the report must be a registered constant.
+flight_recorder.h must appear in OBSERVABILITY.md, every event row there
+must name a registered constant, and every event name in the report must
+be a registered constant.
 
 `stats` mode gates the --stats-out JSON written by the figure benches
-(WriteMatrixStats): shape, monotone percentiles, and that every histogram
-constant registered in trace.h is documented.
+(WriteMatrixStats): shape, monotone percentiles, that every histogram
+constant registered in trace.h is documented, and that every histogram row
+in OBSERVABILITY.md names a registered constant.
+
+Both catalog checks run through catalog.py.
 """
 
 import json
 import re
 import sys
+
+import catalog
 
 SEVERITIES = {"debug", "info", "warning", "error"}
 OUTCOMES = {"verbatim", "proxied", "skipped", "adapted", "failed"}
@@ -39,24 +45,11 @@ def fail(msg):
 
 def registered_names(header, min_expected):
     """Dotted string constants from a header's inline constexpr table."""
-    with open(header) as f:
-        source = f.read()
-    names = re.findall(r'std::string_view\s+k\w+\s*=\s*\n?\s*"([a-z_.]+)"',
-                       source)
-    dotted = [n for n in names if "." in n]
+    dotted = [n for n in catalog.registered_names(header) if "." in n]
     if len(dotted) < min_expected:
         fail("only %d dotted constants parsed from %s — regex drifted?"
              % (len(dotted), header))
     return dotted
-
-
-def check_docs(names, observability_md, what):
-    with open(observability_md) as f:
-        docs = f.read()
-    missing = [name for name in names if name not in docs]
-    if missing:
-        fail("%s registered but undocumented in %s: %s"
-             % (what, observability_md, ", ".join(missing)))
 
 
 def check_events(events, where, known):
@@ -130,7 +123,8 @@ def check_report(report_path, recorder_h, observability_md):
         if entry["outcome"] not in OUTCOMES:
             fail("unknown replay outcome: %r" % entry)
 
-    check_docs(sorted(known), observability_md, "flight-recorder events")
+    catalog.check_catalog(sorted(known), known, observability_md,
+                          ("event",), "flight-recorder events", fail)
     events = len(report["home_events"]) + len(report["guest_events"])
     print("check_forensics: OK: report for %r failed during %s; %d events, "
           "%d cause links, %d journal entries, %d events documented"
@@ -186,11 +180,8 @@ def check_stats(stats_path, trace_h, observability_md):
 
     # Every histogram constant in trace.h ends in `_us`; the benches must
     # produce them under their registered names and the docs must list them.
-    with open(trace_h) as f:
-        source = f.read()
-    registered = [n for n in re.findall(
-        r'std::string_view\s+k\w+\s*=\s*\n?\s*"([a-z_.]+)"', source)
-        if n.endswith("_us")]
+    names = catalog.registered_names(trace_h)
+    registered = [n for n in names if n.endswith("_us")]
     if len(registered) < 4:
         fail("only %d histogram constants parsed from %s" % (len(registered),
                                                              trace_h))
@@ -202,7 +193,8 @@ def check_stats(stats_path, trace_h, observability_md):
     if missing:
         fail("histograms registered in trace.h but absent from stats: %s"
              % ", ".join(missing))
-    check_docs(registered, observability_md, "histograms")
+    catalog.check_catalog(registered, names, observability_md,
+                          ("histogram",), "histograms", fail)
     print("check_forensics: OK: stats over %d cells, %d counters, "
           "%d histograms (%d non-empty), %d registered names documented"
           % (stats["cells"], len(stats["counters"]), len(histograms),

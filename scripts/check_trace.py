@@ -12,8 +12,9 @@ Three gates, all cheap enough for every CI run:
      canonical migration phase span exactly once, and the five timeline
      phases tile [prepare.begin, reintegrate.end] without gaps.
   3. Every counter constant registered in src/flux/trace.h is documented
-     in OBSERVABILITY.md, so the catalog cannot silently drift from the
-     code.
+     in OBSERVABILITY.md, and every span, counter and histogram row there
+     names something trace.h still registers, so the catalog cannot
+     silently drift from the code in either direction (catalog.py).
   4. Causal flow events are well-formed: every s/f pair belongs to a
      migration/flow chain keyed by a 32-hex TraceContext id, each chain
      opens with exactly one "s" (at its earliest timestamp) and carries at
@@ -24,6 +25,8 @@ Three gates, all cheap enough for every CI run:
 import json
 import re
 import sys
+
+import catalog
 
 CANONICAL_PHASES = [
     "migration/prepare",
@@ -127,28 +130,17 @@ def check_migrations(events):
     return len(migrations)
 
 
-def registered_counters(trace_h):
-    # Counter constants live in namespace trace_names as
-    #   inline constexpr std::string_view kFoo = "dotted.name";
+def check_docs(trace_h, observability_md):
     # Spans use slash-separated names; counters dotted ones.
-    with open(trace_h) as f:
-        source = f.read()
-    names = re.findall(r'std::string_view\s+k\w+\s*=\s*\n?\s*"([a-z_.]+)"',
-                       source)
+    names = catalog.registered_names(trace_h)
     counters = [n for n in names if "." in n]
     if len(counters) < 20:
         fail("only %d counter constants parsed from %s — regex drifted?"
              % (len(counters), trace_h))
+    catalog.check_catalog(counters, names, observability_md,
+                          ("span", "counter", "histogram"),
+                          "counters in trace.h", fail)
     return counters
-
-
-def check_docs(counters, observability_md):
-    with open(observability_md) as f:
-        docs = f.read()
-    missing = [name for name in counters if name not in docs]
-    if missing:
-        fail("counters registered in trace.h but undocumented in %s: %s"
-             % (observability_md, ", ".join(missing)))
 
 
 def main(argv):
@@ -161,8 +153,7 @@ def main(argv):
     events = check_events(trace)
     migrations = check_migrations(events)
     flows = check_flows(events)
-    counters = registered_counters(trace_h)
-    check_docs(counters, observability_md)
+    counters = check_docs(trace_h, observability_md)
     print("check_trace: OK: %d events, %d migrations, %d flow chains, "
           "%d counters documented" % (len(events), migrations, flows,
                                       len(counters)))

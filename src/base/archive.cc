@@ -105,12 +105,6 @@ void ArchiveWriter::PutSection(const ArchiveWriter& section) {
   data_.insert(data_.end(), section.data_.begin(), section.data_.end());
 }
 
-void ArchiveWriter::PutSectionRaw(ByteSpan section) {
-  data_.push_back(kTagSection);
-  RawU64(section.size());
-  data_.insert(data_.end(), section.begin(), section.end());
-}
-
 Status ArchiveReader::Expect(uint8_t tag) {
   if (pos_ >= data_.size()) {
     return Corrupt("archive: truncated (expected tag)");
@@ -217,18 +211,6 @@ Status ArchiveReader::GetBytesView(ByteSpan& out) {
   FLUX_RETURN_IF_ERROR(RawU64(len));
   if (len > data_.size() - pos_) {
     return Corrupt("archive: truncated bytes");
-  }
-  out = data_.subspan(pos_, len);
-  pos_ += len;
-  return OkStatus();
-}
-
-Status ArchiveReader::GetSectionRaw(ByteSpan& out) {
-  FLUX_RETURN_IF_ERROR(Expect(kTagSection));
-  uint64_t len = 0;
-  FLUX_RETURN_IF_ERROR(RawU64(len));
-  if (len > data_.size() - pos_) {
-    return Corrupt("archive: truncated section");
   }
   out = data_.subspan(pos_, len);
   pos_ += len;

@@ -57,11 +57,6 @@ class ArchiveWriter {
   // Pre-sizes the buffer for `bytes` of total output.
   void Reserve(size_t bytes) { data_.reserve(bytes); }
 
-  // Re-embeds a section from raw bytes (as returned by GetSectionRaw),
-  // byte-identical to the PutSection that produced them. Used by CRIA's
-  // incremental-checkpoint patcher to pass untouched sections through.
-  void PutSectionRaw(ByteSpan section);
-
   const Bytes& data() const { return data_; }
   Bytes TakeData() { return std::move(data_); }
   size_t size() const { return data_.size(); }
@@ -91,10 +86,6 @@ class ArchiveReader {
 
   // Reads a section; the returned reader views into this reader's buffer.
   Status GetSection(ArchiveReader& out);
-
-  // Reads a section's raw bytes without interpreting them; `out` views into
-  // this reader's buffer. Pairs with ArchiveWriter::PutSectionRaw.
-  Status GetSectionRaw(ByteSpan& out);
 
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }

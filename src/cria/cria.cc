@@ -11,14 +11,6 @@ namespace {
 
 constexpr uint32_t kImageMagic = 0x43524941;  // "CRIA"
 constexpr uint32_t kImageVersion = 2;         // v2: process trees
-constexpr uint32_t kDeltaMagic = 0x43524944;  // "CRID": incremental delta
-constexpr uint32_t kDeltaVersion = 1;
-
-bool KindCheckpointed(SegmentKind kind) {
-  MemorySegment probe;
-  probe.kind = kind;
-  return probe.checkpointed();
-}
 
 HandleClass ClassifyHandle(Device& device, Uid app_uid, uint64_t node_id) {
   BinderDriver& binder = device.binder();
@@ -70,7 +62,7 @@ constexpr size_t kSegmentFieldBytes = 64;
 // header and the app state.
 constexpr size_t kProcessMetadataBytes = 64 * 1024;
 
-// What serializing `segment`'s fields adds to an image or delta.
+// What serializing `segment`'s fields adds to an image.
 size_t SegmentImageBytes(const MemorySegment& segment) {
   return kSegmentFieldBytes + segment.name.size() +
          segment.backing_path.size() + segment.content.size();
@@ -675,255 +667,6 @@ uint64_t Cria::DirtyBytesSince(Device& device, const std::vector<Pid>& pids,
     }
   }
   return total;
-}
-
-Result<CriaIncrementalResult> Cria::CheckpointIncremental(
-    Device& device, const std::vector<Pid>& pids, uint64_t epoch,
-    Tracer* trace) {
-  if (pids.empty()) {
-    return InvalidArgument("no processes to checkpoint");
-  }
-  FLUX_TRACE_SPAN(span, trace, trace_names::kSpanCriaPreDump);
-  // The dirty segments of each process, which also size the delta buffer.
-  struct DirtyProcess {
-    const SimProcess* process;
-    std::vector<const MemorySegment*> segments;
-  };
-  std::vector<DirtyProcess> dirty;
-  size_t capacity = kProcessMetadataBytes;
-  for (const Pid pid : pids) {
-    const SimProcess* process = device.kernel().FindProcess(pid);
-    if (process == nullptr) {
-      return NotFound(StrFormat("no process %d", pid));
-    }
-    capacity += kProcessMetadataBytes;
-    DirtyProcess& entry = dirty.emplace_back(DirtyProcess{process, {}});
-    for (const MemorySegment& segment :
-         process->address_space().segments()) {
-      if (segment.checkpointed() && segment.dirty_gen >= epoch) {
-        entry.segments.push_back(&segment);
-        capacity += SegmentImageBytes(segment);
-      }
-    }
-  }
-
-  CriaStats stats;
-  ArchiveWriter delta;
-  delta.Reserve(capacity);
-  delta.PutU32(kDeltaMagic);
-  delta.PutU32(kDeltaVersion);
-
-  const size_t header = delta.BeginSection();
-  delta.PutU64(device.clock().now());
-  delta.PutU64(epoch);
-  delta.PutU64(pids.size());
-  delta.EndSection(header);
-
-  for (const DirtyProcess& entry : dirty) {
-    ++stats.processes;
-    const size_t section = delta.BeginSection();
-    delta.PutString(entry.process->name());
-    delta.PutU64(entry.segments.size());
-    for (const MemorySegment* segment : entry.segments) {
-      delta.PutU64(segment->start);
-      delta.PutString(segment->name);
-      delta.PutBytes(
-          ByteSpan(segment->content.data(), segment->content.size()));
-      stats.memory_bytes += segment->content.size();
-      ++stats.segments;
-    }
-    delta.EndSection(section);
-  }
-
-  CriaIncrementalResult result;
-  result.delta = delta.TakeData();
-  result.epoch = epoch;
-  stats.image_bytes = result.delta.size();
-  result.stats = stats;
-  FLUX_TRACE_COUNT(trace, trace_names::kCriaIncrementalCheckpoints, 1);
-  FLUX_TRACE_COUNT(trace, trace_names::kCriaIncrementalBytes,
-                   stats.memory_bytes);
-  return result;
-}
-
-Result<Bytes> Cria::ApplyIncremental(ByteSpan base_image, ByteSpan delta) {
-  // Parse the delta into per-process content substitutions keyed by the
-  // segment's start address.
-  ArchiveReader delta_reader(delta);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  FLUX_RETURN_IF_ERROR(delta_reader.GetU32(magic));
-  FLUX_RETURN_IF_ERROR(delta_reader.GetU32(version));
-  if (magic != kDeltaMagic || version != kDeltaVersion) {
-    return Corrupt("not a CRID delta (bad magic/version)");
-  }
-  ArchiveReader delta_header({});
-  FLUX_RETURN_IF_ERROR(delta_reader.GetSection(delta_header));
-  uint64_t new_time = 0;
-  uint64_t epoch = 0;
-  uint64_t delta_process_count = 0;
-  FLUX_RETURN_IF_ERROR(delta_header.GetU64(new_time));
-  FLUX_RETURN_IF_ERROR(delta_header.GetU64(epoch));
-  FLUX_RETURN_IF_ERROR(delta_header.GetU64(delta_process_count));
-  (void)epoch;
-
-  struct DeltaProcess {
-    std::string name;
-    std::map<uint64_t, ByteSpan> segments;  // start -> new content
-  };
-  std::vector<DeltaProcess> patches;
-  for (uint64_t p = 0; p < delta_process_count; ++p) {
-    ArchiveReader section({});
-    FLUX_RETURN_IF_ERROR(delta_reader.GetSection(section));
-    DeltaProcess patch;
-    FLUX_RETURN_IF_ERROR(section.GetString(patch.name));
-    uint64_t segment_count = 0;
-    FLUX_RETURN_IF_ERROR(section.GetU64(segment_count));
-    for (uint64_t i = 0; i < segment_count; ++i) {
-      uint64_t start = 0;
-      std::string name;
-      ByteSpan content;
-      FLUX_RETURN_IF_ERROR(section.GetU64(start));
-      FLUX_RETURN_IF_ERROR(section.GetString(name));
-      FLUX_RETURN_IF_ERROR(section.GetBytesView(content));
-      patch.segments[start] = content;
-    }
-    patches.push_back(std::move(patch));
-  }
-
-  // Walk the base image structurally, re-emitting every field; only the
-  // header's checkpoint time and the patched segments' content differ, so
-  // the output is byte-identical to a full checkpoint at the delta's cut
-  // (as long as nothing but memory changed between the cuts).
-  ArchiveReader base(base_image);
-  FLUX_RETURN_IF_ERROR(base.GetU32(magic));
-  FLUX_RETURN_IF_ERROR(base.GetU32(version));
-  if (magic != kImageMagic || version != kImageVersion) {
-    return Corrupt("not a CRIA image (bad magic/version)");
-  }
-  // Patched segments keep their size and the header its field widths, so
-  // the output is exactly the base image's size; every section is written
-  // in place.
-  ArchiveWriter out;
-  out.Reserve(base_image.size());
-  out.PutU32(kImageMagic);
-  out.PutU32(kImageVersion);
-
-  ArchiveReader base_header({});
-  FLUX_RETURN_IF_ERROR(base.GetSection(base_header));
-  std::string package;
-  int64_t uid = -1;
-  uint64_t base_time = 0;
-  uint64_t process_count = 0;
-  FLUX_RETURN_IF_ERROR(base_header.GetString(package));
-  FLUX_RETURN_IF_ERROR(base_header.GetI64(uid));
-  FLUX_RETURN_IF_ERROR(base_header.GetU64(base_time));
-  FLUX_RETURN_IF_ERROR(base_header.GetU64(process_count));
-  if (process_count != delta_process_count) {
-    return Unsupported(
-        "process tree changed since the base checkpoint; take a full "
-        "checkpoint");
-  }
-  const size_t header = out.BeginSection();
-  out.PutString(package);
-  out.PutI64(uid);
-  out.PutU64(new_time);
-  out.PutU64(process_count);
-  out.EndSection(header);
-
-  size_t applied = 0;
-  for (uint64_t p = 0; p < process_count; ++p) {
-    ArchiveReader section({});
-    FLUX_RETURN_IF_ERROR(base.GetSection(section));
-    const size_t patched = out.BeginSection();
-
-    std::string process_name;
-    int64_t virtual_pid = -1;
-    FLUX_RETURN_IF_ERROR(section.GetString(process_name));
-    FLUX_RETURN_IF_ERROR(section.GetI64(virtual_pid));
-    if (process_name != patches[p].name) {
-      return Unsupported(
-          "process order changed since the base checkpoint; take a full "
-          "checkpoint");
-    }
-    out.PutString(process_name);
-    out.PutI64(virtual_pid);
-
-    ByteSpan threads;
-    FLUX_RETURN_IF_ERROR(section.GetSectionRaw(threads));
-    out.PutSectionRaw(threads);
-
-    // ----- memory section: substitute patched segment contents -----
-    ArchiveReader memory({});
-    FLUX_RETURN_IF_ERROR(section.GetSection(memory));
-    const size_t patched_memory = out.BeginSection();
-    uint64_t segment_count = 0;
-    FLUX_RETURN_IF_ERROR(memory.GetU64(segment_count));
-    out.PutU64(segment_count);
-    for (uint64_t i = 0; i < segment_count; ++i) {
-      std::string name;
-      uint8_t kind = 0;
-      uint64_t start = 0;
-      ByteSpan content;
-      FLUX_RETURN_IF_ERROR(memory.GetString(name));
-      FLUX_RETURN_IF_ERROR(memory.GetU8(kind));
-      FLUX_RETURN_IF_ERROR(memory.GetU64(start));
-      FLUX_RETURN_IF_ERROR(memory.GetBytesView(content));
-      out.PutString(name);
-      out.PutU8(kind);
-      out.PutU64(start);
-      auto patch = patches[p].segments.find(start);
-      if (patch != patches[p].segments.end()) {
-        if (patch->second.size() != content.size()) {
-          return Unsupported(
-              "dirty segment changed size since the base checkpoint; take "
-              "a full checkpoint");
-        }
-        out.PutBytes(patch->second);
-        ++applied;
-      } else {
-        out.PutBytes(content);
-      }
-      if (!KindCheckpointed(static_cast<SegmentKind>(kind))) {
-        uint64_t mapped_size = 0;
-        std::string backing_path;
-        FLUX_RETURN_IF_ERROR(memory.GetU64(mapped_size));
-        FLUX_RETURN_IF_ERROR(memory.GetString(backing_path));
-        out.PutU64(mapped_size);
-        out.PutString(backing_path);
-      }
-    }
-    out.EndSection(patched_memory);
-
-    // fds, handles, pending transactions, owned nodes: pass through.
-    for (int s = 0; s < 4; ++s) {
-      ByteSpan raw;
-      FLUX_RETURN_IF_ERROR(section.GetSectionRaw(raw));
-      out.PutSectionRaw(raw);
-    }
-    if (!section.AtEnd()) {
-      return Corrupt("trailing bytes in CRIA process section");
-    }
-    out.EndSection(patched);
-  }
-
-  ByteSpan app_state;
-  FLUX_RETURN_IF_ERROR(base.GetSectionRaw(app_state));
-  out.PutSectionRaw(app_state);
-  if (!base.AtEnd()) {
-    return Corrupt("trailing bytes in CRIA image");
-  }
-
-  uint64_t patch_total = 0;
-  for (const auto& patch : patches) {
-    patch_total += patch.segments.size();
-  }
-  if (applied != patch_total) {
-    return Unsupported(
-        "delta contains a segment mapped after the base checkpoint; take a "
-        "full checkpoint");
-  }
-  return out.TakeData();
 }
 
 Result<CriaRestoredApp> Cria::Restore(Device& guest, ByteSpan image,

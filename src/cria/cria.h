@@ -73,15 +73,6 @@ struct CriaCheckpointResult {
   CriaStats stats;
 };
 
-// A CRID delta image: only the segments dirtied since a given epoch, plus
-// the new checkpoint time. Applied to a full base image with
-// Cria::ApplyIncremental.
-struct CriaIncrementalResult {
-  Bytes delta;
-  uint64_t epoch = 0;  // the dirty epoch this delta captured
-  CriaStats stats;     // memory_bytes/segments count dirty segments only
-};
-
 struct CriaRestoreOptions {
   // Filesystem prefix the restored process is jailed to; file-backed
   // mappings resolve under it first, then the guest's own tree (identical
@@ -160,33 +151,18 @@ class Cria {
   static Status CheckMigratable(Device& device, Pid pid,
                                 const CriaCheckOptions& options = {});
 
-  // ----- incremental checkpoints (pre-copy, DESIGN.md §10) -----
+  // ----- dirty tracking (pre-copy's final cut, DESIGN.md §10) -----
 
   // Starts a new dirty epoch across every process of the app: all address
   // spaces advance to one common write generation, which is returned.
-  // Segments written from this point on are "dirty since" the epoch.
+  // Segments written from this point on are "dirty since" the epoch. The
+  // final stop-and-copy opens one right before its cut and re-cuts while
+  // DirtyBytesSince reports a write that raced it.
   static uint64_t BeginDirtyEpoch(Device& device, const std::vector<Pid>& pids);
 
   // Checkpointable bytes dirtied since `epoch`, summed over the tree.
   static uint64_t DirtyBytesSince(Device& device, const std::vector<Pid>& pids,
                                   uint64_t epoch);
-
-  // Serializes only the segments dirtied since `epoch` into a CRID delta
-  // image. This is a memory pre-dump: unlike CheckpointTree it does not
-  // require a *prepared* process (it never touches GL, fd, or Binder
-  // state), so pre-copy rounds can cut deltas while the app keeps running.
-  static Result<CriaIncrementalResult> CheckpointIncremental(
-      Device& device, const std::vector<Pid>& pids, uint64_t epoch,
-      Tracer* trace = nullptr);
-
-  // Patches a full CRIA `base_image` with a CRID `delta`, returning the
-  // byte stream a full checkpoint taken at the delta's cut would have
-  // produced — provided only memory content (and the clock) changed
-  // between the two cuts; the migration engine's final stop-and-copy is
-  // always a full image, so any structural drift is caught there. Fails
-  // kUnsupported when a dirty segment changed size or was mapped after the
-  // base cut (the caller falls back to a full checkpoint).
-  static Result<Bytes> ApplyIncremental(ByteSpan base_image, ByteSpan delta);
 };
 
 std::string_view HandleClassName(HandleClass cls);

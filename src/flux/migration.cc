@@ -53,18 +53,16 @@ struct ChunkCpuCosts {
 };
 
 ChunkCpuCosts ChunkCosts(const Device& home, const Device& guest, uint64_t raw,
-                         LzChunkKind kind, bool compress_image,
-                         bool prewarmed) {
+                         LzChunkKind kind, bool prewarmed) {
   ChunkCpuCosts c;
   c.serialize = prewarmed ? 0 : CpuCost(home, raw, kSerializeMbps);
   // The compress stage fans out over the device's cores (quad-core
   // baseline), which is what the host thread pool mirrors in wall time.
-  c.compress = compress_image && kind != LzChunkKind::kRef
+  c.compress = kind != LzChunkKind::kRef
                    ? CpuCost(home, raw, kCompressMbps) / kCompressThreads
                    : 0;
-  c.decompress = compress_image && kind == LzChunkKind::kLz
-                     ? CpuCost(guest, raw, kDecompressMbps)
-                     : 0;
+  c.decompress =
+      kind == LzChunkKind::kLz ? CpuCost(guest, raw, kDecompressMbps) : 0;
   c.restore = prewarmed ? 0 : CpuCost(guest, raw, kRestoreMbps);
   return c;
 }
@@ -220,16 +218,19 @@ MigrationManager::MigrationManager(FluxAgent& home, FluxAgent& guest,
                                    MigrationConfig config)
     : home_(home), guest_(guest), config_(config) {
   if (config_.precopy || config_.resume) {
-    // Pre-copy rides on the chunked pipeline and the content-addressed
-    // cache: rounds warm the guest cache, and the final stop-and-copy
-    // ships warmed chunks as refs. Resume acks against the chunk
-    // manifest, so it needs both as well.
-    config_.pipelined = true;
+    // Pre-copy rides on the content-addressed cache: rounds warm the guest
+    // cache, and the final stop-and-copy ships warmed chunks as refs.
+    // Resume acks against the chunk manifest, so it needs the cache too.
     config_.chunk_dedup = true;
   }
-  if (!config_.net_profile.IsClean()) {
-    // The frame codec runs per chunk of the stream.
+  if (config_.chunk_dedup || !config_.net_profile.IsClean()) {
+    // Dedup refs and the frame codec both work on the chunk stream.
     config_.pipelined = true;
+  }
+  if (config_.pipelined) {
+    // Shipping the image raw is the serial path's ablation; every chunk
+    // stream is compressed.
+    config_.compress_image = true;
   }
   frame_options_.frame_payload_bytes = config_.frame_payload_bytes;
   frame_options_.fec = config_.fec;
@@ -336,85 +337,70 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     PipelineStats& stats = report.pipeline;
     stats.enabled = true;
     stats.chunk_bytes = kMigrationChunkBytes;
-    if (config_.compress_image) {
-      const ByteSpan image_span(cria.image.data(), cria.image.size());
-      LzChunkDedupPlan plan;
-      plan.content_hash = report.image_hash;
-      if (config_.chunk_dedup) {
-        // Content-addressed delta transfer: hash every raw chunk, ask the
-        // guest's cache which ones it already holds (the manifest bytes and
-        // round trip are charged to the wire in TransferPipelined), and
-        // ship hits as 16-byte refs. Every chunk also lands in the home
-        // cache so the return hop can dedup against this checkpoint. Both
-        // hash passes run on the compression pool.
-        DedupStats& dedup = report.dedup;
-        dedup.enabled = true;
-        plan.stored_fallback = true;
-        plan.hashes =
-            LzChunkHashes(image_span, kMigrationChunkBytes, CompressionPool());
-        // The resume handshake re-offers exactly this manifest.
-        payload_chunk_hashes_ = plan.hashes;
-        if (config_.resume) {
-          // Chunk-granular delivery needs the raw chunks at transfer time:
-          // the guest caches each as its wire window closes.
-          resume_raw_image_.assign(image_span.begin(), image_span.end());
+    const ByteSpan image_span(cria.image.data(), cria.image.size());
+    LzChunkDedupPlan plan;
+    plan.content_hash = report.image_hash;
+    if (config_.chunk_dedup) {
+      // Content-addressed delta transfer: hash every raw chunk, ask the
+      // guest's cache which ones it already holds (the manifest bytes and
+      // round trip are charged to the wire in TransferPipelined), and ship
+      // hits as 16-byte refs. Every chunk also lands in the home cache so
+      // the return hop can dedup against this checkpoint. Both hash passes
+      // run on the compression pool.
+      DedupStats& dedup = report.dedup;
+      dedup.enabled = true;
+      plan.stored_fallback = true;
+      plan.hashes =
+          LzChunkHashes(image_span, kMigrationChunkBytes, CompressionPool());
+      // The resume handshake re-offers exactly this manifest.
+      payload_chunk_hashes_ = plan.hashes;
+      dedup.chunk_count = static_cast<uint32_t>(plan.hashes.size());
+      dedup.manifest_wire_bytes = ManifestWireBytes(plan.hashes.size());
+      plan.ref_chunks =
+          guest_.chunk_cache().HasValidBatch(plan.hashes, CompressionPool());
+      ChunkCache& home_cache = home_.chunk_cache();
+      for (size_t i = 0; i < plan.hashes.size(); ++i) {
+        const uint64_t begin = uint64_t{i} * kMigrationChunkBytes;
+        const uint64_t len = std::min<uint64_t>(kMigrationChunkBytes,
+                                                image_span.size() - begin);
+        if (plan.ref_chunks[i] != 0) {
+          ++dedup.ref_chunks;
+          dedup.ref_raw_bytes += len;
         }
-        dedup.chunk_count = static_cast<uint32_t>(plan.hashes.size());
-        dedup.manifest_wire_bytes = ManifestWireBytes(plan.hashes.size());
-        plan.ref_chunks =
-            guest_.chunk_cache().HasValidBatch(plan.hashes, CompressionPool());
-        ChunkCache& home_cache = home_.chunk_cache();
-        for (size_t i = 0; i < plan.hashes.size(); ++i) {
-          const uint64_t begin = uint64_t{i} * kMigrationChunkBytes;
-          const uint64_t len = std::min<uint64_t>(kMigrationChunkBytes,
-                                                  image_span.size() - begin);
-          if (plan.ref_chunks[i] != 0) {
-            ++dedup.ref_chunks;
-            dedup.ref_raw_bytes += len;
-          }
-          home_cache.Insert(plan.hashes[i],
-                            ByteSpan(image_span.data() + begin, len));
-        }
+        home_cache.Insert(plan.hashes[i],
+                          ByteSpan(image_span.data() + begin, len));
       }
-      LzChunkStreams streams = LzCompressChunkStreamsDeduped(
-          image_span, kMigrationChunkBytes, CompressionPool(), plan);
-      Bytes().swap(cria.image);  // the streams carry the content now
-      stats.chunk_count = static_cast<uint32_t>(streams.chunks.size());
-      stats.chunk_kind = streams.kinds;
-      stats.chunk_wire_bytes.reserve(streams.chunks.size());
-      for (size_t i = 0; i < streams.chunks.size(); ++i) {
-        stats.chunk_wire_bytes.push_back(streams.ChunkWireBytes(i));
-        if (streams.KindOf(i) == LzChunkKind::kStored) {
-          ++report.dedup.stored_chunks;
-        }
-      }
-      if (!stats.chunk_wire_bytes.empty()) {
-        stats.chunk_wire_bytes[0] += streams.HeaderBytes();
-      }
-      report.image_compressed_bytes = streams.ContainerSize();
-      payload.PutBool(true);
-      // Frame the container straight into the payload, releasing each chunk
-      // buffer as it lands: peak memory stays ~1x the compressed image.
-      const size_t token = payload.BeginBytes();
-      LzFrameChunkContainer(
-          streams, [&payload](ByteSpan part) { payload.AppendRaw(part); },
-          /*release_chunks=*/true);
-      payload.EndBytes(token);
-    } else {
-      const uint64_t raw = cria.image.size();
-      stats.chunk_count = static_cast<uint32_t>(
-          (raw + kMigrationChunkBytes - 1) / kMigrationChunkBytes);
-      stats.chunk_wire_bytes.reserve(stats.chunk_count);
-      for (uint32_t i = 0; i < stats.chunk_count; ++i) {
-        stats.chunk_wire_bytes.push_back(
-            std::min<uint64_t>(kMigrationChunkBytes,
-                               raw - uint64_t{i} * kMigrationChunkBytes));
-      }
-      report.image_compressed_bytes = raw;
-      payload.PutBool(false);
-      payload.PutBytes(ByteSpan(cria.image.data(), cria.image.size()));
-      Bytes().swap(cria.image);
     }
+    LzChunkStreams streams = LzCompressChunkStreamsDeduped(
+        image_span, kMigrationChunkBytes, CompressionPool(), plan);
+    if (config_.resume) {
+      // Chunk-granular delivery needs the raw chunks at transfer time: the
+      // guest caches each as its wire window closes.
+      resume_raw_image_ = std::move(cria.image);
+    } else {
+      Bytes().swap(cria.image);  // the streams carry the content now
+    }
+    stats.chunk_count = static_cast<uint32_t>(streams.chunks.size());
+    stats.chunk_kind = streams.kinds;
+    stats.chunk_wire_bytes.reserve(streams.chunks.size());
+    for (size_t i = 0; i < streams.chunks.size(); ++i) {
+      stats.chunk_wire_bytes.push_back(streams.ChunkWireBytes(i));
+      if (streams.KindOf(i) == LzChunkKind::kStored) {
+        ++report.dedup.stored_chunks;
+      }
+    }
+    if (!stats.chunk_wire_bytes.empty()) {
+      stats.chunk_wire_bytes[0] += streams.HeaderBytes();
+    }
+    report.image_compressed_bytes = streams.ContainerSize();
+    payload.PutBool(true);
+    // Frame the container straight into the payload, releasing each chunk
+    // buffer as it lands: peak memory stays ~1x the compressed image.
+    const size_t token = payload.BeginBytes();
+    LzFrameChunkContainer(
+        streams, [&payload](ByteSpan part) { payload.AppendRaw(part); },
+        /*release_chunks=*/true);
+    payload.EndBytes(token);
     return payload.TakeData();
   }
 
@@ -476,8 +462,6 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
   ChunkCache& guest_cache = guest_.chunk_cache();
   ChunkCache& home_cache = home_.chunk_cache();
 
-  Bytes current;             // the image as of the latest cut
-  uint64_t epoch = 0;        // dirty epoch opened at that cut
   uint64_t pending_prev = 0; // pending raw bytes at the previous cut
   bool converged = false;
   std::string stop_reason;
@@ -488,41 +472,19 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     r.interval.begin = clock.now();
     const SimTime t0 = clock.now();
 
-    // Cut: a full checkpoint on round 0, a dirty-segment delta applied to
-    // the running image after — falling back to a full cut if the address
-    // space changed shape since the base cut.
-    const uint64_t prev_epoch = epoch;
-    epoch = Cria::BeginDirtyEpoch(device, pids);
-    bool full_cut = round == 0;
-    if (!full_cut) {
-      FLUX_ASSIGN_OR_RETURN(
-          CriaIncrementalResult delta,
-          Cria::CheckpointIncremental(device, pids, prev_epoch,
-                                      config_.trace));
-      auto patched = Cria::ApplyIncremental(
-          ByteSpan(current.data(), current.size()),
-          ByteSpan(delta.delta.data(), delta.delta.size()));
-      if (patched.ok()) {
-        current = patched.TakeValue();
-      } else if (patched.status().code() == StatusCode::kUnsupported) {
-        full_cut = true;
-      } else {
-        return patched.status();
-      }
-    }
-    if (full_cut) {
-      FLUX_ASSIGN_OR_RETURN(
-          CriaCheckpointResult full,
-          Cria::CheckpointTree(device, pids, *app.thread, config_.trace));
-      current = std::move(full.image);
-    }
+    // Cut: every round is a full checkpoint, the same cut the
+    // stop-and-copy takes, so planning sees exactly the thread, fd, Binder
+    // and app-state bytes a freeze at this instant would ship.
+    FLUX_ASSIGN_OR_RETURN(
+        const CriaCheckpointResult cut,
+        Cria::CheckpointTree(device, pids, *app.thread, config_.trace));
 
     // Plan: which chunks of this cut the guest cache is missing, and what
-    // they would cost. Dirty tracking is segment-granular, but the wire
-    // works in content-addressed chunks — a re-written page only re-ships
-    // its chunk if the bytes actually changed, so the pending set (not
-    // DirtyBytesSince) is what termination must reason about.
-    const ByteSpan image_span(current.data(), current.size());
+    // they would cost. The wire works in content-addressed chunks — a
+    // re-written page only re-ships its chunk if the bytes actually
+    // changed, so the pending set (not DirtyBytesSince) is what
+    // termination must reason about.
+    const ByteSpan image_span(cut.image.data(), cut.image.size());
     const std::vector<Hash128> hashes =
         LzChunkHashes(image_span, kMigrationChunkBytes, CompressionPool());
     const std::vector<uint8_t> cached =
@@ -545,18 +507,16 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
       plan_chunks.push_back({i, begin, len, len});
       r.pending_raw_bytes += len;
     }
-    if (config_.compress_image) {
-      // Size each pending chunk for the wire on the compression pool, with
-      // the dedup container's stored fallback for incompressible chunks.
-      CompressionPool()->ParallelForChunked(
-          plan_chunks.size(), [&](size_t first, size_t last) {
-            for (size_t k = first; k < last; ++k) {
-              Planned& p = plan_chunks[k];
-              p.wire = std::min(
-                  p.len, LzCompressedSize(image_span.subspan(p.begin, p.len)));
-            }
-          });
-    }
+    // Size each pending chunk for the wire on the compression pool, with
+    // the dedup container's stored fallback for incompressible chunks.
+    CompressionPool()->ParallelForChunked(
+        plan_chunks.size(), [&](size_t first, size_t last) {
+          for (size_t k = first; k < last; ++k) {
+            Planned& p = plan_chunks[k];
+            p.wire = std::min(
+                p.len, LzCompressedSize(image_span.subspan(p.begin, p.len)));
+          }
+        });
     r.pending_chunks = static_cast<uint32_t>(plan_chunks.size());
     pre.dirty_bytes += r.pending_raw_bytes;
 
@@ -627,7 +587,7 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
       const ChunkCpuCosts cost = ChunkCosts(
           device, guest_device, p.len,
           p.wire < p.len ? LzChunkKind::kLz : LzChunkKind::kStored,
-          config_.compress_image, /*prewarmed=*/false);
+          /*prewarmed=*/false);
       stages[0].chunk_cost.push_back(cost.serialize);
       stages[1].chunk_cost.push_back(cost.compress);
       stages[2].chunk_cost.push_back(
@@ -1014,13 +974,12 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
     const LzChunkKind kind = i < stats.chunk_kind.size()
                                  ? static_cast<LzChunkKind>(stats.chunk_kind[i])
                                  : LzChunkKind::kLz;
-    // Pre-copy: a ref chunk was serialized during the warm-up rounds (the
-    // dirty bitmap proves it unchanged since), and the guest applied its
+    // Pre-copy: a ref chunk was serialized during the warm-up rounds (its
+    // content hash proves it unchanged since), and the guest applied its
     // cached content then too — both endpoints skip it in the stop-and-copy.
     const bool prewarmed = config_.precopy && kind == LzChunkKind::kRef;
-    const ChunkCpuCosts cost = ChunkCosts(home_device, guest_device, raw_i,
-                                          kind, config_.compress_image,
-                                          prewarmed);
+    const ChunkCpuCosts cost =
+        ChunkCosts(home_device, guest_device, raw_i, kind, prewarmed);
     stages[0].chunk_cost.push_back(cost.serialize);
     stages[1].chunk_cost.push_back(cost.compress);
     stages[2].chunk_cost.push_back(
@@ -1076,13 +1035,9 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // then decompress + restore — the Figure 13 sum.
   stats.serial_estimate =
       CpuCost(home_device, report.image_raw_bytes, kSerializeMbps) +
-      (config_.compress_image
-           ? CpuCost(home_device, report.image_raw_bytes, kCompressMbps)
-           : 0) +
+      CpuCost(home_device, report.image_raw_bytes, kCompressMbps) +
       sync_elapsed + wifi.TransferTime(foreground_wire, link) +
-      (config_.compress_image
-           ? CpuCost(guest_device, report.image_raw_bytes, kDecompressMbps)
-           : 0) +
+      CpuCost(guest_device, report.image_raw_bytes, kDecompressMbps) +
       CpuCost(guest_device, report.image_raw_bytes, kRestoreMbps);
   stats.saved = stats.serial_estimate > stats.makespan
                     ? stats.serial_estimate - stats.makespan
@@ -1106,8 +1061,7 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // past checkpoint.end into the transfer window — compression overlaps
   // the wire by design; it is a contained detail, not a sixth timeline
   // phase (Total() stays the sum of the five + tail).
-  if (count > 0 && config_.compress_image &&
-      plan.stages[kCompress].busy > 0) {
+  if (count > 0 && plan.stages[kCompress].busy > 0) {
     report.compress.begin = t0 + plan.finish[kCompress][0] -
                             stages[kCompress].chunk_cost[0];
     report.compress.end = t0 + plan.stages[kCompress].finish;

@@ -44,7 +44,8 @@ class ThreadPool;
 inline constexpr SimDuration kTransferTick = Millis(250);
 
 struct MigrationConfig {
-  // Ablation: ship the image uncompressed.
+  // Ablation of the serial path: ship the image uncompressed. Every chunked
+  // mode compresses (the constructor forces this on with pipelined).
   bool compress_image = true;
   // Extension beyond the paper's prototype (§3.4 future work): migrate
   // multi-process apps by checkpointing the whole process tree.
@@ -69,18 +70,19 @@ struct MigrationConfig {
   // (ThreadPool::Shared); tests and embedders may inject their own. The
   // pool must outlive the manager.
   ThreadPool* compress_pool = nullptr;
-  // Extension: content-addressed delta transfer. With pipelined mode on,
-  // every raw image chunk is hashed; a manifest handshake asks the guest
-  // which hashes its ChunkCache already holds, and hits ship as 16-byte
-  // refs instead of compressed bytes. Warm re-migrations (A->B->A) shrink
-  // to the chunks that actually changed. Off by default: baseline payloads
-  // and figures stay bit-for-bit unchanged.
+  // Extension: content-addressed delta transfer. Implies pipelined (the
+  // constructor forces it on): every raw image chunk is hashed; a manifest
+  // handshake asks the guest which hashes its ChunkCache already holds, and
+  // hits ship as 16-byte refs instead of compressed bytes. Warm
+  // re-migrations (A->B->A) shrink to the chunks that actually changed.
+  // Off by default: baseline payloads and figures stay bit-for-bit
+  // unchanged.
   bool chunk_dedup = false;
   // Extension (DESIGN.md §10): iterative pre-copy. After preparation the
   // full image streams into the guest's chunk cache while the app keeps
-  // running (and dirtying memory at its workload's rate); converging
-  // rounds re-send only the chunks covering segments dirtied since the
-  // previous cut; then a short stop-and-copy ships the final image, in
+  // running (and dirtying memory at its workload's rate); each converging
+  // round cuts a full image again and re-sends only the chunks the guest
+  // cache is missing; then a short stop-and-copy ships the final image, in
   // which every warmed chunk travels as a 16-byte ref. Implies pipelined
   // and chunk_dedup (the constructor forces both on). Off by default:
   // every baseline figure stays bit-for-bit unchanged.
@@ -88,7 +90,7 @@ struct MigrationConfig {
   // Round budget before pre-copy gives up on convergence (forensics).
   int precopy_max_rounds = 8;
   // Bandwidth-aware termination: freeze once the estimated stop-and-copy
-  // of the remaining dirty delta drops below this.
+  // of the chunks the guest cache still misses drops below this.
   SimDuration precopy_stop_copy_target = Millis(250);
   // Test hook: runs once, right after the final stop-and-copy cut (models
   // a write racing the freeze; exercises the re-cut path that keeps such
@@ -406,9 +408,10 @@ class MigrationManager {
   // Dedup mode: the raw-chunk hash manifest of the current payload, stored
   // by BuildPayload — the resume handshake re-offers exactly this list.
   std::vector<Hash128> payload_chunk_hashes_;
-  // Resume mode only: a copy of the raw image, so the guest cache can take
-  // each chunk as its wire window closes (chunk-granular delivery is what
-  // the resume ack is about). Freed when the transfer completes.
+  // Resume mode only: the raw image, moved out of the checkpoint once its
+  // chunk streams are encoded, so the guest cache can take each chunk as
+  // its wire window closes (chunk-granular delivery is what the resume ack
+  // is about). Freed when the transfer completes.
   Bytes resume_raw_image_;
   // Pre-copy only: the modeled write load of the still-running app,
   // invoked from AdvanceWithTicks with each slice's duration. Installed

@@ -66,8 +66,8 @@ struct PipelineStats {
 
 // ----- iterative pre-copy (DESIGN.md §10) -----
 
-// One pre-copy round: a checkpoint cut (full on round 0, dirty-segment
-// delta after) followed by streaming the chunks the guest cache is missing.
+// One pre-copy round: a full checkpoint cut followed by streaming the
+// chunks the guest cache is missing.
 struct PrecopyRound {
   int index = 0;                  // 0 = the full-image warm-up round
   uint32_t chunk_count = 0;       // chunks in the image at this cut

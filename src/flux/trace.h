@@ -83,7 +83,6 @@ inline constexpr std::string_view kSpanPrecopyRoundPrefix = "precopy/round/";
 // Lower layers.
 inline constexpr std::string_view kSpanCriaCheckpoint = "cria/checkpoint";
 inline constexpr std::string_view kSpanCriaRestore = "cria/restore";
-inline constexpr std::string_view kSpanCriaPreDump = "cria/pre_dump";
 inline constexpr std::string_view kSpanPairDevices = "pairing/devices";
 inline constexpr std::string_view kSpanPairApp = "pairing/app";
 inline constexpr std::string_view kSpanVerifyApk = "pairing/verify_apk";
@@ -159,10 +158,6 @@ inline constexpr std::string_view kPrecopyChunksResent =
 inline constexpr std::string_view kPrecopyAbortedConvergence =
     "precopy.aborted_convergence";
 inline constexpr std::string_view kPrecopyFinalRecuts = "precopy.final_recuts";
-inline constexpr std::string_view kCriaIncrementalCheckpoints =
-    "cria.incremental_checkpoints";
-inline constexpr std::string_view kCriaIncrementalBytes =
-    "cria.incremental_bytes";
 // Resumable transfers (DESIGN.md §13).
 inline constexpr std::string_view kMigrationResumeAttempts =
     "migration.resume_attempts";

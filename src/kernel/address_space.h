@@ -40,8 +40,8 @@ struct MemorySegment {
   std::string backing_path;  // for file-backed segments
   // Write generation at which this segment was last dirtied (mapping counts
   // as a write). Compared against an epoch from AddressSpace::BeginEpoch:
-  // `dirty_gen >= epoch` means "written since that epoch". Pre-copy's
-  // snapshot-and-clear is therefore O(1) — no per-segment bit to clear.
+  // `dirty_gen >= epoch` means "written since that epoch". Opening an
+  // epoch is therefore O(1) — no per-segment bit to clear.
   uint64_t dirty_gen = 0;
 
   uint64_t size() const {
@@ -75,8 +75,9 @@ class AddressSpace {
   //
   // A monotonic write generation plus a per-segment stamp replace classic
   // dirty bits: starting a new epoch is one increment, and "dirtied since
-  // epoch E" is `segment.dirty_gen >= E`. Several epochs can be live at
-  // once (each pre-copy round keeps its own), which plain clear-on-read
+  // epoch E" is `segment.dirty_gen >= E`. Pre-copy's final stop-and-copy
+  // opens an epoch right before its cut and re-cuts if a write landed
+  // since. Several epochs can be live at once, which plain clear-on-read
   // bits cannot express.
 
   // The current write generation; writes stamp this value.
@@ -86,8 +87,8 @@ class AddressSpace {
   // point on satisfy `dirty_gen >= epoch`.
   uint64_t BeginEpoch() { return ++generation_; }
 
-  // Raises the write generation to at least `generation` (keeps several
-  // address spaces of one app in lockstep across pre-copy rounds).
+  // Raises the write generation to at least `generation` (keeps the
+  // address spaces of a multi-process app on one common epoch).
   void AlignGeneration(uint64_t generation) {
     if (generation > generation_) {
       generation_ = generation;

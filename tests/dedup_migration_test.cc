@@ -115,6 +115,17 @@ TEST(DedupMigrationTest, WarmReturnHopShipsRefsAndFewerBytes) {
   // fallback and refs can only shrink the container.
   EXPECT_LE(hop1->total_wire_bytes,
             cold1->total_wire_bytes + hop1->dedup.manifest_wire_bytes);
+
+  // chunk_dedup alone implies pipelined: the same hop, chunked and deduped.
+  RoundTripWorld implied;
+  implied.Boot("Candy Crush Saga");
+  MigrationConfig dedup_only;
+  dedup_only.chunk_dedup = true;
+  auto implied1 = implied.Hop(*implied.a_agent, *implied.b_agent, dedup_only);
+  ASSERT_TRUE(implied1.ok() && implied1->success);
+  EXPECT_TRUE(implied1->pipeline.enabled);
+  EXPECT_TRUE(implied1->dedup.enabled);
+  EXPECT_EQ(implied1->total_wire_bytes, hop1->total_wire_bytes);
 }
 
 TEST(DedupMigrationTest, PoisonedGuestCacheFallsBackToFullChunks) {

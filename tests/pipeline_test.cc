@@ -198,6 +198,17 @@ TEST(PipelinedMigrationTest, SucceedsAndBeatsSerialByTwentyPercent) {
     EXPECT_LE(stage.busy, stats.makespan) << stage.name;
     EXPECT_LE(stage.first_finish, stage.finish) << stage.name;
   }
+
+  // Chunked modes always compress: turning compress_image off (the serial
+  // path's ablation) ships the same payload.
+  TestWorld raw_world;
+  raw_world.Boot("Candy Crush Saga");
+  config.compress_image = false;
+  auto raw = raw_world.Migrate(config);
+  ASSERT_TRUE(raw.ok() && raw->success);
+  EXPECT_EQ(raw->image_compressed_bytes, pipelined->image_compressed_bytes);
+  EXPECT_EQ(raw->total_wire_bytes, pipelined->total_wire_bytes);
+  EXPECT_EQ(raw->Total(), pipelined->Total());
 }
 
 // Migrates in a world where the home APK was updated since pairing, so

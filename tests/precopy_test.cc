@@ -1,9 +1,9 @@
 // Iterative pre-copy (DESIGN.md §10): dirty-segment tracking in the address
-// space, incremental CRIA deltas that patch byte-identically onto a full
-// base image, and the converging warm-up rounds in MigrationManager — plus
-// the two failure paths that must stay safe: a write racing the final
-// stop-and-copy cut (re-cut, never silently dropped) and a poisoned guest
-// chunk cache (full chunks re-ship, restore stays byte-exact).
+// space, the pinned bytes of the full CRIA image every round cuts, and the
+// converging warm-up rounds in MigrationManager — plus the two failure
+// paths that must stay safe: a write racing the final stop-and-copy cut
+// (re-cut, never silently dropped) and a poisoned guest chunk cache (full
+// chunks re-ship, restore stays byte-exact).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -79,7 +79,7 @@ TEST(AddressSpaceDirtyTrackingTest, EpochsWritesAndTouch) {
   EXPECT_EQ(other.generation(), as.generation());
 }
 
-// ----- incremental CRIA checkpoints -----
+// ----- the CRIA image a pre-copy round cuts -----
 
 class PrecopyCriaTest : public ::testing::Test {
  protected:
@@ -134,111 +134,28 @@ class PrecopyCriaTest : public ::testing::Test {
   std::unique_ptr<AppInstance> app_;
 };
 
-TEST_F(PrecopyCriaTest, DeltaPatchesBaseImageByteIdentically) {
-  PrepareApp();
-  const std::vector<Pid> pids = {app_->pid()};
-
-  auto base = Cria::CheckpointTree(*home_, pids, app_->thread());
-  ASSERT_TRUE(base.ok()) << base.status().ToString();
-  const uint64_t epoch = Cria::BeginDirtyEpoch(*home_, pids);
-  EXPECT_EQ(Cria::DirtyBytesSince(*home_, pids, epoch), 0u);
-
-  // Generation N: dirty both ends of the heap, advance the clock (no device
-  // ticks — nothing but memory and time may differ between the cuts).
-  DirtyHeap(0, 4096, 0xC3);
-  DirtyHeap(192 * 1024, 4096, 0xC4);
-  world_.clock().Advance(Millis(50));
-  EXPECT_GT(Cria::DirtyBytesSince(*home_, pids, epoch), 0u);
-
-  auto delta = Cria::CheckpointIncremental(*home_, pids, epoch);
-  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  EXPECT_EQ(delta->stats.segments, 1);  // only the heap was written
-  EXPECT_LT(delta->delta.size(), base->image.size());
-
-  auto full_n = Cria::CheckpointTree(*home_, pids, app_->thread());
-  ASSERT_TRUE(full_n.ok());
-  auto patched = Cria::ApplyIncremental(
-      ByteSpan(base->image.data(), base->image.size()),
-      ByteSpan(delta->delta.data(), delta->delta.size()));
-  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-  EXPECT_EQ(*patched, full_n->image);
-
-  // Generation N+1: a second delta applied on top of the first patch still
-  // reproduces the full cut exactly.
-  const uint64_t epoch2 = Cria::BeginDirtyEpoch(*home_, pids);
-  DirtyHeap(64 * 1024, 8192, 0xD5);
-  world_.clock().Advance(Millis(50));
-  auto delta2 = Cria::CheckpointIncremental(*home_, pids, epoch2);
-  ASSERT_TRUE(delta2.ok());
-  auto full_n1 = Cria::CheckpointTree(*home_, pids, app_->thread());
-  ASSERT_TRUE(full_n1.ok());
-  auto patched2 = Cria::ApplyIncremental(
-      ByteSpan(patched->data(), patched->size()),
-      ByteSpan(delta2->delta.data(), delta2->delta.size()));
-  ASSERT_TRUE(patched2.ok()) << patched2.status().ToString();
-  EXPECT_EQ(*patched2, full_n1->image);
-
-  // The patched image is a real image: it restores like the full one.
-  CriaRestoreOptions options;
-  options.jail_root = FluxAgent::PairRoot(home_->name());
-  auto restored = Cria::Restore(
-      *guest_, ByteSpan(patched2->data(), patched2->size()), options);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_NE(guest_->kernel().FindProcess(restored->pid), nullptr);
-}
-
-TEST_F(PrecopyCriaTest, SegmentMappedAfterBaseCutFallsBackToFullCheckpoint) {
-  PrepareApp();
-  const std::vector<Pid> pids = {app_->pid()};
-  auto base = Cria::CheckpointTree(*home_, pids, app_->thread());
-  ASSERT_TRUE(base.ok());
-  const uint64_t epoch = Cria::BeginDirtyEpoch(*home_, pids);
-
-  // A segment mapped after the base cut has no slot in the base image; the
-  // patch must refuse (kUnsupported) so the caller cuts a fresh full image
-  // instead of silently dropping the new mapping.
-  MemorySegment late;
-  late.name = "late-mmap";
-  late.kind = SegmentKind::kAnonPrivate;
-  late.content = Bytes(8192, 0x11);
-  Space().Map(std::move(late));
-
-  auto delta = Cria::CheckpointIncremental(*home_, pids, epoch);
-  ASSERT_TRUE(delta.ok());
-  auto patched = Cria::ApplyIncremental(
-      ByteSpan(base->image.data(), base->image.size()),
-      ByteSpan(delta->delta.data(), delta->delta.size()));
-  ASSERT_FALSE(patched.ok());
-  EXPECT_EQ(patched.status().code(), StatusCode::kUnsupported);
-}
-
 // The image bytes are a format, not an implementation detail: the guest
 // cache is keyed by their chunk hashes and the goldens by their sizes. A
 // rework of the CRIA writer that moves these digests changes the format.
-TEST_F(PrecopyCriaTest, ImageDeltaAndPatchBytesArePinned) {
+// The second cut, after a heap write, is a later pre-copy round's image;
+// its digest is the one the removed delta patch produced for that round.
+TEST_F(PrecopyCriaTest, ImageBytesArePinned) {
   PrepareApp();
   const std::vector<Pid> pids = {app_->pid()};
-  auto base = Cria::CheckpointTree(*home_, pids, app_->thread());
-  ASSERT_TRUE(base.ok()) << base.status().ToString();
-  const uint64_t epoch = Cria::BeginDirtyEpoch(*home_, pids);
-  DirtyHeap(8192, 4096, 0xE7);
-  world_.clock().Advance(Millis(50));
-  auto delta = Cria::CheckpointIncremental(*home_, pids, epoch);
-  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  auto patched = Cria::ApplyIncremental(
-      ByteSpan(base->image.data(), base->image.size()),
-      ByteSpan(delta->delta.data(), delta->delta.size()));
-  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-
   auto digest = [](const Bytes& bytes) {
     return FluxHash128(ByteSpan(bytes.data(), bytes.size())).ToHex();
   };
+  auto base = Cria::CheckpointTree(*home_, pids, app_->thread());
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
   EXPECT_EQ(base->image.size(), 329742u);
   EXPECT_EQ(digest(base->image), "144fd8079a60f5aea72afc257ba79d07");
-  EXPECT_EQ(delta->delta.size(), 262270u);
-  EXPECT_EQ(digest(delta->delta), "dc13d7974026e482d63db77ea4040426");
-  EXPECT_EQ(patched->size(), base->image.size());
-  EXPECT_EQ(digest(*patched), "902b9086cfa9d5d39882a9c34860964e");
+
+  DirtyHeap(8192, 4096, 0xE7);
+  world_.clock().Advance(Millis(50));
+  auto round = Cria::CheckpointTree(*home_, pids, app_->thread());
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(round->image.size(), base->image.size());
+  EXPECT_EQ(digest(round->image), "902b9086cfa9d5d39882a9c34860964e");
 }
 
 // ----- end-to-end pre-copy migrations -----
