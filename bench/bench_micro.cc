@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark): real wall-clock cost of the hot
 // paths — Binder transactions with and without the Flux record engine
 // interposed (the implementation-level version of Figure 16's claim),
-// parcel marshalling, the LZ codec, FluxHash128 and the chunk cache's
-// verified probes, and CRIA checkpoint/restore throughput.
+// parcel marshalling, the LZ codec, FluxHash128, the chunk cache's
+// verified probes and ref resolution, and CRIA checkpoint/restore
+// throughput.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -214,6 +215,36 @@ void BM_ChunkCacheBatchProbe(benchmark::State& state) {
                           static_cast<int64_t>(image.size()));
 }
 BENCHMARK(BM_ChunkCacheBatchProbe)->Arg(0)->Arg(4)->UseRealTime();
+
+void BM_LzDecompressChunksRefs(benchmark::State& state) {
+  // A 16 MiB image shipped as 256 KiB refs only, the guest's warm return
+  // hop: every ref resolves from a ChunkCache, which re-verifies the entry,
+  // and the decoder copies it and checks it against the ref. Arg 0 decodes
+  // inline; otherwise on a pool of that width.
+  constexpr uint64_t kChunk = 256 << 10;
+  const Bytes image = GenerateContent(23, 16 << 20, 0.55);
+  const ByteSpan span(image.data(), image.size());
+  LzChunkDedupPlan plan;
+  plan.hashes = LzChunkHashes(span, kChunk);
+  plan.ref_chunks.assign(plan.hashes.size(), 1);
+  const Bytes container = LzAssembleChunkContainer(
+      LzCompressChunkStreamsDeduped(span, kChunk, nullptr, plan));
+  ChunkCache cache(image.size());
+  for (size_t i = 0; i < plan.hashes.size(); ++i) {
+    cache.Insert(plan.hashes[i], span.subspan(i * kChunk, kChunk));
+  }
+  ThreadPool pool(static_cast<int>(state.range(0)));
+  ThreadPool* runner = state.range(0) > 0 ? &pool : nullptr;
+  for (auto _ : state) {
+    ChunkCacheRefSource refs(cache);
+    auto raw = LzDecompressChunks(ByteSpan(container.data(), container.size()),
+                                  &refs, nullptr, runner);
+    benchmark::DoNotOptimize(raw);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(image.size()));
+}
+BENCHMARK(BM_LzDecompressChunksRefs)->Arg(0)->Arg(4)->UseRealTime();
 
 // A launched app with a `heap_bytes` heap, its graphics state shed so a
 // checkpoint is legal.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <mutex>
 #include <vector>
 
 #include "src/base/thread_pool.h"
@@ -23,10 +24,6 @@ constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxMatch = 4 + 255;
 constexpr size_t kHashBuckets = 1 << 16;
 constexpr int kMaxChainProbes = 16;
-// A container's header raw size is untrusted: it is reserved up front only
-// up to this cap (above any checkpoint image the simulator cuts), and past
-// it the output grows with the bytes actually decoded.
-constexpr uint64_t kMaxUpfrontReserve = 64ull << 20;
 
 uint32_t HashTriple(const uint8_t* p) {
   uint32_t v;
@@ -210,7 +207,13 @@ Bytes LzCompress(ByteSpan input) {
   return out;
 }
 
-Result<Bytes> LzDecompress(ByteSpan input) {
+namespace {
+
+constexpr size_t kStreamHeaderBytes = 4 + 8;  // magic + raw size
+
+// Checks an FLZ1 stream's header as LzDecompress does before it sizes
+// anything, and returns the raw size the header claims.
+Result<uint64_t> LzStreamRawSize(ByteSpan input) {
   size_t pos = 0;
   uint32_t magic = 0;
   uint64_t raw_size = 0;
@@ -230,15 +233,20 @@ Result<Bytes> LzDecompress(ByteSpan input) {
   if (raw_size > body / 3 * kMaxMatch + body % 3) {
     return Corrupt("LzDecompress: raw size exceeds what the body encodes");
   }
+  return raw_size;
+}
 
-  Bytes out;
-  out.reserve(raw_size);
-  while (out.size() < raw_size) {
+// Decodes the body of a stream whose header LzStreamRawSize accepted into
+// out[0, raw_size).
+Status LzDecodeBody(ByteSpan input, uint8_t* out, uint64_t raw_size) {
+  size_t pos = kStreamHeaderBytes;
+  uint64_t written = 0;
+  while (written < raw_size) {
     if (pos >= input.size()) {
       return Corrupt("LzDecompress: truncated stream");
     }
     const uint8_t flags = input[pos++];
-    for (int i = 0; i < 8 && out.size() < raw_size; ++i) {
+    for (int i = 0; i < 8 && written < raw_size; ++i) {
       if (flags & (1 << i)) {
         if (pos + 3 > input.size()) {
           return Corrupt("LzDecompress: truncated match");
@@ -247,24 +255,40 @@ Result<Bytes> LzDecompress(ByteSpan input) {
                               (static_cast<size_t>(input[pos + 1]) << 8);
         const size_t len = kMinMatch + input[pos + 2];
         pos += 3;
-        if (offset == 0 || offset > out.size()) {
+        if (offset == 0 || offset > written) {
           return Corrupt("LzDecompress: bad match offset");
         }
-        if (out.size() + len > raw_size) {
+        if (written + len > raw_size) {
           return Corrupt("LzDecompress: match overruns raw size");
         }
-        const size_t start = out.size() - offset;
-        for (size_t k = 0; k < len; ++k) {
-          out.push_back(out[start + k]);
+        uint8_t* dst = out + written;
+        const uint8_t* src = dst - offset;
+        if (offset >= len) {
+          std::memcpy(dst, src, len);
+        } else {
+          // Overlapping match: each byte may copy one written just before.
+          for (size_t k = 0; k < len; ++k) {
+            dst[k] = src[k];
+          }
         }
+        written += len;
       } else {
         if (pos >= input.size()) {
           return Corrupt("LzDecompress: truncated literal");
         }
-        out.push_back(input[pos++]);
+        out[written++] = input[pos++];
       }
     }
   }
+  return OkStatus();
+}
+
+}  // namespace
+
+Result<Bytes> LzDecompress(ByteSpan input) {
+  FLUX_ASSIGN_OR_RETURN(const uint64_t raw_size, LzStreamRawSize(input));
+  Bytes out(raw_size);
+  FLUX_RETURN_IF_ERROR(LzDecodeBody(input, out.data(), raw_size));
   return out;
 }
 
@@ -374,10 +398,8 @@ LzChunkStreams LzCompressChunkStreamsDeduped(ByteSpan input,
     streams.chunks[i] = std::move(stream);
   };
   ForEachChunk(pool, count, encode_chunk);
-  if (streams.NeedsV2()) {
-    streams.content_hash = plan.content_hash.has_value()
-                               ? *plan.content_hash
-                               : FluxHash128(input);
+  if (!plan.defer_digest && streams.NeedsV2()) {
+    streams.content_hash = FluxHash128(input);
   }
   return streams;
 }
@@ -466,11 +488,15 @@ Result<LzChunkContainerInfo> LzPeekChunkContainer(ByteSpan input) {
   return info;
 }
 
-Result<Bytes> LzDecompressChunks(ByteSpan input,
-                                 const LzChunkRefResolver& resolver,
-                                 std::optional<Hash128>* digest) {
+Result<Bytes> LzDecompressChunks(ByteSpan input, LzChunkRefSource* refs,
+                                 std::optional<Hash128>* digest,
+                                 ThreadPool* pool,
+                                 std::vector<Hash128>* chunk_keys) {
   if (digest != nullptr) {
     digest->reset();
+  }
+  if (chunk_keys != nullptr) {
+    chunk_keys->clear();
   }
   FLUX_ASSIGN_OR_RETURN(LzChunkContainerInfo info,
                         LzPeekChunkContainer(input));
@@ -490,73 +516,189 @@ Result<Bytes> LzDecompressChunks(ByteSpan input,
     return Corrupt("LzDecompressChunks: truncated v2 header");
   }
 
-  Bytes out;
-  out.reserve(std::min(raw_size, kMaxUpfrontReserve));
+  // The table pass: every check a chunk-by-chunk decode makes before it
+  // needs a chunk's content, with no side effects. It ends at the first
+  // chunk that must fail, or past the last one, and `stop` holds the Status
+  // a decode that gets that far returns (OK only for a well-formed table).
+  // Every chunk it keeps decodes to exactly its share of the raw size, a
+  // stream's share bounded by its own body, so nothing is sized from the
+  // untrusted header alone.
+  struct Chunk {
+    LzChunkKind kind;
+    size_t pos;          // its wire bytes in `input`
+    uint32_t wire_size;
+    uint64_t raw_size;   // its share of the output
+    size_t ref;          // kRef: its index in `ref_hashes`
+  };
+  std::vector<Chunk> chunks;
+  // Each chunk takes at least its 4-byte prefix, whatever the count claims.
+  chunks.reserve(std::min<size_t>(info.chunk_count, (input.size() - pos) / 4));
+  std::vector<Hash128> ref_hashes;
+  Status stop;
   for (uint32_t i = 0; i < info.chunk_count; ++i) {
     uint32_t word = 0;
     if (!GetU32(input, pos, word)) {
-      return Corrupt("LzDecompressChunks: truncated chunk prefix");
+      stop = Corrupt("LzDecompressChunks: truncated chunk prefix");
+      break;
     }
-    const uint32_t wire_size = info.v2 ? (word & kLengthMask) : word;
-    const auto kind = static_cast<LzChunkKind>(info.v2 ? word >> kKindShift
-                                                       : 0);
-    if (pos + wire_size > input.size()) {
-      return Corrupt("LzDecompressChunks: truncated chunk");
+    Chunk chunk{};
+    chunk.wire_size = info.v2 ? (word & kLengthMask) : word;
+    chunk.kind = static_cast<LzChunkKind>(info.v2 ? word >> kKindShift : 0);
+    chunk.pos = pos;
+    if (pos + chunk.wire_size > input.size()) {
+      stop = Corrupt("LzDecompressChunks: truncated chunk");
+      break;
     }
-    const uint64_t expected =
-        std::min<uint64_t>(chunk_size, raw_size - out.size());
-    switch (kind) {
+    chunk.raw_size = std::min<uint64_t>(
+        chunk_size, raw_size - uint64_t{i} * chunk_size);
+    const ByteSpan wire = input.subspan(pos, chunk.wire_size);
+    switch (chunk.kind) {
       case LzChunkKind::kLz: {
-        FLUX_ASSIGN_OR_RETURN(Bytes raw,
-                              LzDecompress(input.subspan(pos, wire_size)));
-        if (raw.size() != expected) {
-          return Corrupt("LzDecompressChunks: chunk raw size mismatch");
+        Result<uint64_t> claimed = LzStreamRawSize(wire);
+        if (!claimed.ok()) {
+          stop = claimed.status();
+        } else if (claimed.value() != chunk.raw_size) {
+          // A stream of the wrong length fails either way; decoding it
+          // (bounded by its own body) says which error comes first.
+          Result<Bytes> raw = LzDecompress(wire);
+          stop = raw.ok()
+                     ? Corrupt("LzDecompressChunks: chunk raw size mismatch")
+                     : raw.status();
         }
-        out.insert(out.end(), raw.begin(), raw.end());
         break;
       }
-      case LzChunkKind::kStored: {
-        if (wire_size != expected) {
-          return Corrupt("LzDecompressChunks: stored chunk size mismatch");
+      case LzChunkKind::kStored:
+        if (chunk.wire_size != chunk.raw_size) {
+          stop = Corrupt("LzDecompressChunks: stored chunk size mismatch");
         }
-        out.insert(out.end(), input.data() + pos,
-                   input.data() + pos + wire_size);
         break;
-      }
       case LzChunkKind::kRef: {
-        if (wire_size != kRefBytes) {
-          return Corrupt("LzDecompressChunks: malformed ref chunk");
+        if (chunk.wire_size != kRefBytes) {
+          stop = Corrupt("LzDecompressChunks: malformed ref chunk");
+        } else if (refs == nullptr) {
+          stop = Corrupt("LzDecompressChunks: ref chunk without a resolver");
+        } else {
+          size_t ref_pos = pos;
+          Hash128 ref;
+          (void)GetHash128(input, ref_pos, ref);  // the 16 bytes are there
+          chunk.ref = ref_hashes.size();
+          ref_hashes.push_back(ref);
         }
-        if (!resolver) {
-          return Corrupt("LzDecompressChunks: ref chunk without a resolver");
-        }
-        size_t ref_pos = pos;
-        Hash128 ref;
-        if (!GetHash128(input, ref_pos, ref)) {
-          return Corrupt("LzDecompressChunks: truncated ref chunk");
-        }
-        Bytes raw;
-        if (!resolver(ref, raw)) {
-          return Corrupt("LzDecompressChunks: unresolvable ref chunk " +
-                         ref.ToHex());
-        }
-        if (raw.size() != expected || FluxHash128(ByteSpan(
-                                          raw.data(), raw.size())) != ref) {
-          return Corrupt("LzDecompressChunks: resolved chunk fails its hash");
-        }
-        out.insert(out.end(), raw.begin(), raw.end());
         break;
       }
       default:
-        return Corrupt("LzDecompressChunks: unknown chunk kind");
+        stop = Corrupt("LzDecompressChunks: unknown chunk kind");
+        break;
     }
-    pos += wire_size;
+    if (!stop.ok()) {
+      break;
+    }
+    chunks.push_back(chunk);
+    pos += chunk.wire_size;
   }
-  if (out.size() != raw_size) {
-    return Corrupt("LzDecompressChunks: raw size mismatch");
+  if (stop.ok() && pos != input.size()) {
+    stop = Corrupt("LzDecompressChunks: trailing bytes");
   }
-  if (pos != input.size()) {
-    return Corrupt("LzDecompressChunks: trailing bytes");
+  size_t stop_at = chunks.size();
+
+  // Every ref the table holds, looked up at once; the first one missing or
+  // of the wrong length is where the decode must fail at the latest.
+  std::vector<std::optional<ByteSpan>> resolved;
+  if (!ref_hashes.empty()) {
+    resolved = refs->Lookup(ref_hashes, pool);
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      const Chunk& chunk = chunks[i];
+      if (chunk.kind != LzChunkKind::kRef) {
+        continue;
+      }
+      const std::optional<ByteSpan>& content = resolved[chunk.ref];
+      if (!content.has_value()) {
+        stop = Corrupt("LzDecompressChunks: unresolvable ref chunk " +
+                       ref_hashes[chunk.ref].ToHex());
+      } else if (content->size() != chunk.raw_size) {
+        stop = Corrupt("LzDecompressChunks: resolved chunk fails its hash");
+      } else {
+        continue;
+      }
+      stop_at = i;
+      break;
+    }
+  }
+
+  // The output holds exactly what chunks [0, stop_at) decode to (all but
+  // the last chunk are full-size). Each runner decodes a contiguous range
+  // and stops at its first failing chunk; the earliest failure overall is
+  // the one a chunk-by-chunk decode reports.
+  Bytes out(stop_at == info.chunk_count ? raw_size
+                                        : uint64_t{stop_at} * chunk_size);
+  std::vector<Hash128> keys(chunk_keys != nullptr ? stop_at : 0);
+  std::mutex failure_mutex;
+  size_t failed_at = stop_at;
+  Status failure;
+  auto decode_chunk = [&](size_t i) -> Status {
+    const Chunk& chunk = chunks[i];
+    uint8_t* slot = out.data() + i * static_cast<size_t>(chunk_size);
+    const ByteSpan wire = input.subspan(chunk.pos, chunk.wire_size);
+    const ByteSpan decoded(slot, chunk.raw_size);
+    switch (chunk.kind) {
+      case LzChunkKind::kLz:
+        FLUX_RETURN_IF_ERROR(LzDecodeBody(wire, slot, chunk.raw_size));
+        break;
+      case LzChunkKind::kStored:
+        std::memcpy(slot, wire.data(), chunk.raw_size);
+        break;
+      case LzChunkKind::kRef: {
+        const Hash128& ref = ref_hashes[chunk.ref];
+        std::memcpy(slot, resolved[chunk.ref]->data(), chunk.raw_size);
+        if (FluxHash128(decoded) != ref) {
+          return Corrupt("LzDecompressChunks: resolved chunk fails its hash");
+        }
+        if (!keys.empty()) {
+          keys[i] = ref;
+        }
+        return OkStatus();
+      }
+    }
+    if (!keys.empty()) {
+      keys[i] = FluxHash128(decoded);
+    }
+    return OkStatus();
+  };
+  auto decode_range = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      Status status = decode_chunk(i);
+      if (!status.ok()) {
+        std::lock_guard<std::mutex> lock(failure_mutex);
+        if (i < failed_at) {
+          failed_at = i;
+          failure = std::move(status);
+        }
+        return;
+      }
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelForChunked(stop_at, decode_range);
+  } else {
+    decode_range(0, stop_at);
+  }
+  if (failed_at < stop_at) {
+    stop_at = failed_at;
+    stop = std::move(failure);
+  }
+
+  if (!ref_hashes.empty()) {
+    // A chunk-by-chunk decode fetches every ref up to where it stops,
+    // including a ref chunk that fails there (a table failure stops before
+    // its chunk is fetched, and such a chunk is not in `chunks`).
+    size_t fetched = 0;
+    for (size_t i = 0; i < chunks.size() && i <= stop_at; ++i) {
+      fetched += chunks[i].kind == LzChunkKind::kRef ? 1 : 0;
+    }
+    refs->Settle(fetched);
+  }
+  if (!stop.ok()) {
+    return stop;
   }
   if (info.v2) {
     const Hash128 reassembled = FluxHash128(ByteSpan(out.data(), out.size()));
@@ -566,6 +708,9 @@ Result<Bytes> LzDecompressChunks(ByteSpan input,
     if (digest != nullptr) {
       *digest = reassembled;
     }
+  }
+  if (chunk_keys != nullptr) {
+    *chunk_keys = std::move(keys);
   }
   return out;
 }

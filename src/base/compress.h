@@ -33,11 +33,17 @@
 // A v2 container is only produced when at least one chunk is stored or a
 // ref; otherwise the encoder emits v1, byte-identical to what it always
 // produced — cold migrations are unchanged on the wire.
+//
+// Decoding checks the whole chunk table before it sizes the output, then
+// decodes every chunk on a worker pool straight into one buffer. Ref chunks
+// resolve in one batch (LzChunkRefSource), so a cache verifies its entries
+// in parallel yet keeps the bookkeeping of a serial lookup loop.
 #ifndef FLUX_SRC_BASE_COMPRESS_H_
 #define FLUX_SRC_BASE_COMPRESS_H_
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/base/bytes.h"
@@ -111,11 +117,13 @@ struct LzChunkDedupPlan {
   std::vector<Hash128> hashes;
   // ref_chunks[i] != 0 => the receiver holds chunk i; ship a 16-byte ref.
   std::vector<uint8_t> ref_chunks;
-  // The whole input's FluxHash128 when the caller already computed it: a v2
-  // container carries this value as its digest instead of the encoder
-  // hashing the input a second time. The caller vouches that it is the
-  // input's digest, as ChunkCache::Insert's caller vouches for a key.
-  std::optional<Hash128> content_hash;
+  // Leaves the whole-input digest to the caller, who sets
+  // streams.content_hash before framing a v2 container: a caller that
+  // already holds the digest does not hash the input twice, and streams
+  // that may never ship (a pre-copy round's) skip it. The caller vouches
+  // that it is the input's digest, as ChunkCache::Insert's caller vouches
+  // for a key.
+  bool defer_digest = false;
 };
 
 // Dedup-aware variant: ref chunks skip compression entirely and serialize
@@ -160,24 +168,50 @@ struct LzChunkContainerInfo {
 };
 Result<LzChunkContainerInfo> LzPeekChunkContainer(ByteSpan input);
 
-// Resolves a v2 ref chunk: fill `out` with the raw chunk content for
-// `hash` and return true, or return false if the content is unavailable
-// (unknown hash, or a cached entry that failed verification).
-using LzChunkRefResolver = std::function<bool(const Hash128& hash, Bytes& out)>;
+// Where a v2 container's ref chunks come from. Resolution takes two calls
+// so the content can be verified and copied on a worker pool while the
+// source's own bookkeeping (a cache's hits, misses, drops and recency)
+// still ends as a serial loop of lookups would leave it.
+class LzChunkRefSource {
+ public:
+  LzChunkRefSource() = default;
+  LzChunkRefSource(const LzChunkRefSource&) = delete;
+  LzChunkRefSource& operator=(const LzChunkRefSource&) = delete;
+  virtual ~LzChunkRefSource() = default;
+  // Looks up every ref, listed in chunk order, changing nothing the source
+  // reports; any verification may run on `pool` (inline when null). Entry i
+  // views content the source vouches hashes to refs[i], or is empty when
+  // that content is unavailable (unknown, or it failed the source's own
+  // check). The views stay valid until Settle returns.
+  virtual std::vector<std::optional<ByteSpan>> Lookup(
+      std::span<const Hash128> refs, ThreadPool* pool) = 0;
+  // Applies, in order, what serial lookups of the first `n` refs would
+  // have done: the decoder passes how many refs a chunk-by-chunk decode
+  // fetches before it stops (all of them on success).
+  virtual void Settle(size_t n) = 0;
+};
 
 // Decompresses a container produced by LzCompressChunks /
-// LzAssembleChunkContainer. Chunks are independent streams, so output is
-// reassembled strictly in order; fails with kCorrupt on malformed input.
-// A v2 container containing ref chunks requires `resolver`; every resolved
-// chunk is checked against its ref hash, and after reassembly the
-// whole-input digest is recomputed from the output and checked against the
-// header. `digest`, when given, receives that recomputed digest on success,
-// so a caller needing the output's FluxHash128 need not hash it again; it
-// is left empty for a v1 container (which carries no digest) and on any
-// failure.
+// LzAssembleChunkContainer; fails with kCorrupt on malformed input. A first
+// pass with no side effects checks the chunk table and every stream header
+// before anything is sized, so a lying header is rejected without a large
+// reservation. The chunks then decode on `pool` (inline when null) into one
+// pre-sized buffer. Output and Status are the same either way, and equal
+// those of a chunk-by-chunk decode that stops at its first failing chunk.
+// A v2 container containing ref chunks requires `refs`: every ref is looked
+// up in one batch, every resolved chunk is checked against its ref hash,
+// and the source settles exactly the lookups a chunk-by-chunk decode would
+// have made. After reassembly the whole-input digest is recomputed from the
+// output and checked against the header. On success `digest`, when given,
+// receives that digest (it stays empty for a v1 container, which carries
+// none, and on any failure), and `chunk_keys`, when given, receives each
+// chunk's FluxHash128: the ref of a ref chunk, and for every other chunk a
+// hash of its decoded bytes taken on `pool`.
 Result<Bytes> LzDecompressChunks(ByteSpan input,
-                                 const LzChunkRefResolver& resolver = nullptr,
-                                 std::optional<Hash128>* digest = nullptr);
+                                 LzChunkRefSource* refs = nullptr,
+                                 std::optional<Hash128>* digest = nullptr,
+                                 ThreadPool* pool = nullptr,
+                                 std::vector<Hash128>* chunk_keys = nullptr);
 
 }  // namespace flux
 

@@ -65,6 +65,11 @@ bool ChunkCache::HasValid(const Hash128& hash) {
 
 std::vector<uint8_t> ChunkCache::HasValidBatch(std::span<const Hash128> hashes,
                                                ThreadPool* pool) {
+  return SettleBatch(hashes, VerifyBatch(hashes, pool));
+}
+
+std::vector<std::optional<ByteSpan>> ChunkCache::VerifyBatch(
+    std::span<const Hash128> hashes, ThreadPool* pool) const {
   // Probes only bump or drop entries, never rewrite content, so every
   // verdict can be taken before any probe is applied.
   std::vector<const Entry*> entries(hashes.size(), nullptr);
@@ -74,13 +79,24 @@ std::vector<uint8_t> ChunkCache::HasValidBatch(std::span<const Hash128> hashes,
       entries[i] = &*it->second;
     }
   }
-  std::vector<uint8_t> valid(hashes.size(), 0);
+  std::vector<std::optional<ByteSpan>> verified(hashes.size());
   ForEachChunk(pool, hashes.size(), [&](size_t i) {
-    valid[i] = entries[i] != nullptr && Intact(*entries[i]) ? 1 : 0;
+    if (entries[i] != nullptr && Intact(*entries[i])) {
+      verified[i] = ByteSpan(entries[i]->content.data(),
+                             entries[i]->content.size());
+    }
   });
+  return verified;
+}
+
+std::vector<uint8_t> ChunkCache::SettleBatch(
+    std::span<const Hash128> hashes,
+    std::span<const std::optional<ByteSpan>> verified) {
+  std::vector<uint8_t> valid(hashes.size(), 0);
   for (size_t i = 0; i < hashes.size(); ++i) {
     auto it = index_.find(hashes[i]);
-    valid[i] = Settle(it, it != index_.end() && valid[i] != 0) ? 1 : 0;
+    valid[i] =
+        Settle(it, it != index_.end() && verified[i].has_value()) ? 1 : 0;
   }
   return valid;
 }
@@ -167,6 +183,20 @@ void ChunkCache::EvictToBudget() {
     ++stats_.evictions;
     FLUX_TRACE_COUNTER_ADD(trace_evictions_, 1);
   }
+}
+
+std::vector<std::optional<ByteSpan>> ChunkCacheRefSource::Lookup(
+    std::span<const Hash128> refs, ThreadPool* pool) {
+  refs_.assign(refs.begin(), refs.end());
+  verified_ = cache_.VerifyBatch(refs_, pool);
+  return verified_;
+}
+
+void ChunkCacheRefSource::Settle(size_t n) {
+  n = std::min(n, refs_.size());
+  cache_.SettleBatch(std::span<const Hash128>(refs_).first(n),
+                     std::span<const std::optional<ByteSpan>>(verified_)
+                         .first(n));
 }
 
 }  // namespace flux

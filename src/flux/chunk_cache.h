@@ -6,25 +6,29 @@
 // device keeps a ChunkCache of raw chunk content keyed by FluxHash128:
 // the home side queries the guest's cache through a hash manifest before
 // streaming and replaces hits with 16-byte `ref` chunks; the guest side
-// resolves refs locally and re-inserts everything it restores, so the
-// cache warms in both directions.
+// resolves refs locally and re-inserts everything it restores (containers
+// cut at kChunkCacheChunkBytes only), so the cache warms in both
+// directions.
 //
 // Entries are verified against their key on every query: a poisoned entry
 // (bit rot, a torn write) is indistinguishable from a miss, so the home
 // side ships the full chunk instead of letting a bad cache corrupt a
-// restore. A whole manifest can be probed at once (HasValidBatch), which
-// moves the re-hashes onto a worker pool but keeps every effect of a
-// HasValid loop. Eviction is LRU by bytes against a per-device budget.
+// restore. A whole manifest can be probed at once (HasValidBatch), and a
+// container's refs fetched at once (ChunkCacheRefSource); both move the
+// re-hashes onto a worker pool but keep every effect of a HasValid or
+// Fetch loop. Eviction is LRU by bytes against a per-device budget.
 #ifndef FLUX_SRC_FLUX_CHUNK_CACHE_H_
 #define FLUX_SRC_FLUX_CHUNK_CACHE_H_
 
 #include <cstdint>
 #include <list>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "src/base/bytes.h"
+#include "src/base/compress.h"
 #include "src/base/hash.h"
 #include "src/flux/cost_model.h"
 #include "src/flux/flight_recorder.h"
@@ -78,6 +82,20 @@ class ChunkCache {
   // and the caller blocks until they finish.
   std::vector<uint8_t> HasValidBatch(std::span<const Hash128> hashes,
                                      ThreadPool* pool);
+
+  // HasValidBatch in its two halves, for callers that read the verified
+  // content in between. VerifyBatch re-hashes every entry `hashes` names on
+  // `pool`'s static split and returns, per position, a view of the entry's
+  // content if it still matches its key (empty for a missing or poisoned
+  // entry); it changes nothing. A view stays valid until its entry is
+  // dropped or re-inserted. SettleBatch then applies, on the calling thread
+  // and in list order, exactly what a HasValid (or Fetch) loop over
+  // `hashes` would, given those verdicts, and returns the flags.
+  std::vector<std::optional<ByteSpan>> VerifyBatch(
+      std::span<const Hash128> hashes, ThreadPool* pool) const;
+  std::vector<uint8_t> SettleBatch(
+      std::span<const Hash128> hashes,
+      std::span<const std::optional<ByteSpan>> verified);
 
   // Fetches a verified copy of the entry into `out`; same verification and
   // LRU semantics as HasValid. Returns false on miss or verify failure.
@@ -142,6 +160,25 @@ class ChunkCache {
   TraceCounter* trace_evictions_ = nullptr;
   TraceCounter* trace_verify_failures_ = nullptr;
   FlightRecorder* flight_recorder_ = nullptr;
+};
+
+// Serves a chunk container's refs from a cache (LzDecompressChunks): the
+// lookup re-verifies every ref'd entry on the decoder's pool, and Settle
+// applies the first n as a Fetch loop over those refs would — hits,
+// misses, verify-failure drops with their counter and flight event, and
+// most-recent bumps.
+class ChunkCacheRefSource : public LzChunkRefSource {
+ public:
+  explicit ChunkCacheRefSource(ChunkCache& cache) : cache_(cache) {}
+
+  std::vector<std::optional<ByteSpan>> Lookup(std::span<const Hash128> refs,
+                                              ThreadPool* pool) override;
+  void Settle(size_t n) override;
+
+ private:
+  ChunkCache& cache_;
+  std::vector<Hash128> refs_;
+  std::vector<std::optional<ByteSpan>> verified_;
 };
 
 }  // namespace flux

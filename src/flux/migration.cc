@@ -282,8 +282,44 @@ Status MigrationManager::Prepare(const RunningApp& app,
   return OkStatus();
 }
 
+Result<MigrationManager::PlannedCut> MigrationManager::CutAndPlan(
+    const RunningApp& app) {
+  const std::vector<Pid> pids =
+      app.all_pids.empty() ? std::vector<Pid>{app.pid} : app.all_pids;
+  PlannedCut cut;
+  FLUX_ASSIGN_OR_RETURN(
+      cut.cria,
+      Cria::CheckpointTree(*app.device, pids, *app.thread, config_.trace));
+  if (!config_.pipelined) {
+    return cut;
+  }
+  // Chunked modes split the image into fixed-size chunks, each an
+  // independent stream compressed across host threads. Dedup first hashes
+  // every raw chunk and asks the guest's cache which ones it already holds
+  // (the manifest bytes and round trip are charged to the wire in
+  // TransferPipelined); hits become 16-byte refs, and the rest compress
+  // with the stored fallback for incompressible chunks. Both hash passes
+  // run on the compression pool. The container digest is left to
+  // BuildPayload: only a cut that ships needs it.
+  const ByteSpan image(cut.cria.image.data(), cut.cria.image.size());
+  LzChunkDedupPlan plan;
+  plan.defer_digest = true;
+  if (config_.chunk_dedup) {
+    plan.stored_fallback = true;
+    plan.hashes = LzChunkHashes(image, kMigrationChunkBytes, CompressionPool());
+    plan.ref_chunks =
+        guest_.chunk_cache().HasValidBatch(plan.hashes, CompressionPool());
+  }
+  cut.streams = LzCompressChunkStreamsDeduped(image, kMigrationChunkBytes,
+                                              CompressionPool(), plan);
+  cut.hashes = std::move(plan.hashes);
+  cut.cached = std::move(plan.ref_chunks);
+  return cut;
+}
+
 Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
-                                             MigrationReport& report) {
+                                             MigrationReport& report,
+                                             PlannedCut* planned) {
   Device& device = *app.device;
   ScopedTimer timer(device.clock(), report.checkpoint);
 
@@ -294,11 +330,12 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     return FailedPrecondition("app is not managed by the home Flux agent");
   }
 
-  const std::vector<Pid> pids =
-      app.all_pids.empty() ? std::vector<Pid>{app.pid} : app.all_pids;
-  FLUX_ASSIGN_OR_RETURN(
-      CriaCheckpointResult cria,
-      Cria::CheckpointTree(device, pids, *app.thread, config_.trace));
+  PlannedCut fresh;
+  if (planned == nullptr) {
+    FLUX_ASSIGN_OR_RETURN(fresh, CutAndPlan(app));
+    planned = &fresh;
+  }
+  CriaCheckpointResult& cria = planned->cria;
   report.cria = cria.stats;
   report.image_raw_bytes = cria.image.size();
   // Digest of the raw image as checkpointed; the guest recomputes it after
@@ -329,50 +366,39 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
   report.log_bytes = log_section.size();
   payload.PutSection(log_section);
 
-  // The CRIA image, compressed for transfer. Pipelined mode splits it into
-  // fixed-size chunks — each an independent stream, compressed across host
-  // threads — and charges the serialize/compress CPU from the overlapped
-  // stage schedule (TransferPipelined) instead of up front here.
+  // The CRIA image, compressed for transfer. Pipelined mode ships the chunk
+  // streams CutAndPlan encoded and charges the serialize/compress CPU from
+  // the overlapped stage schedule (TransferPipelined) instead of up front
+  // here.
   if (config_.pipelined) {
     PipelineStats& stats = report.pipeline;
     stats.enabled = true;
     stats.chunk_bytes = kMigrationChunkBytes;
     const ByteSpan image_span(cria.image.data(), cria.image.size());
-    LzChunkDedupPlan plan;
-    plan.content_hash = report.image_hash;
+    LzChunkStreams& streams = planned->streams;
+    streams.content_hash = report.image_hash;
     if (config_.chunk_dedup) {
-      // Content-addressed delta transfer: hash every raw chunk, ask the
-      // guest's cache which ones it already holds (the manifest bytes and
-      // round trip are charged to the wire in TransferPipelined), and ship
-      // hits as 16-byte refs. Every chunk also lands in the home cache so
-      // the return hop can dedup against this checkpoint. Both hash passes
-      // run on the compression pool.
+      // Every chunk also lands in the home cache so the return hop can
+      // dedup against this checkpoint.
       DedupStats& dedup = report.dedup;
       dedup.enabled = true;
-      plan.stored_fallback = true;
-      plan.hashes =
-          LzChunkHashes(image_span, kMigrationChunkBytes, CompressionPool());
-      // The resume handshake re-offers exactly this manifest.
-      payload_chunk_hashes_ = plan.hashes;
-      dedup.chunk_count = static_cast<uint32_t>(plan.hashes.size());
-      dedup.manifest_wire_bytes = ManifestWireBytes(plan.hashes.size());
-      plan.ref_chunks =
-          guest_.chunk_cache().HasValidBatch(plan.hashes, CompressionPool());
+      dedup.chunk_count = static_cast<uint32_t>(planned->hashes.size());
+      dedup.manifest_wire_bytes = ManifestWireBytes(planned->hashes.size());
       ChunkCache& home_cache = home_.chunk_cache();
-      for (size_t i = 0; i < plan.hashes.size(); ++i) {
+      for (size_t i = 0; i < planned->hashes.size(); ++i) {
         const uint64_t begin = uint64_t{i} * kMigrationChunkBytes;
         const uint64_t len = std::min<uint64_t>(kMigrationChunkBytes,
                                                 image_span.size() - begin);
-        if (plan.ref_chunks[i] != 0) {
+        if (planned->cached[i] != 0) {
           ++dedup.ref_chunks;
           dedup.ref_raw_bytes += len;
         }
-        home_cache.Insert(plan.hashes[i],
+        home_cache.Insert(planned->hashes[i],
                           ByteSpan(image_span.data() + begin, len));
       }
+      // The resume handshake re-offers exactly this manifest.
+      payload_chunk_hashes_ = std::move(planned->hashes);
     }
-    LzChunkStreams streams = LzCompressChunkStreamsDeduped(
-        image_span, kMigrationChunkBytes, CompressionPool(), plan);
     if (config_.resume) {
       // Chunk-granular delivery needs the raw chunks at transfer time: the
       // guest caches each as its wire window closes.
@@ -465,6 +491,11 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
   uint64_t pending_prev = 0; // pending raw bytes at the previous cut
   bool converged = false;
   std::string stop_reason;
+  // The last round's cut when the rounds end right after planning it: the
+  // app has not run since, so it is the stop-and-copy image. `final_epoch`
+  // opened right before that cut.
+  std::optional<PlannedCut> final_cut;
+  uint64_t final_epoch = 0;
 
   for (int round = 0; round < config_.precopy_max_rounds; ++round) {
     PrecopyRound r;
@@ -474,58 +505,41 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
 
     // Cut: every round is a full checkpoint, the same cut the
     // stop-and-copy takes, so planning sees exactly the thread, fd, Binder
-    // and app-state bytes a freeze at this instant would ship.
-    FLUX_ASSIGN_OR_RETURN(
-        const CriaCheckpointResult cut,
-        Cria::CheckpointTree(device, pids, *app.thread, config_.trace));
-
+    // and app-state bytes a freeze at this instant would ship. The dirty
+    // epoch opens first, in case this cut becomes the stop-and-copy.
+    //
     // Plan: which chunks of this cut the guest cache is missing, and what
     // they would cost. The wire works in content-addressed chunks — a
     // re-written page only re-ships its chunk if the bytes actually
     // changed, so the pending set (not DirtyBytesSince) is what
-    // termination must reason about.
-    const ByteSpan image_span(cut.image.data(), cut.image.size());
-    const std::vector<Hash128> hashes =
-        LzChunkHashes(image_span, kMigrationChunkBytes, CompressionPool());
-    const std::vector<uint8_t> cached =
-        guest_cache.HasValidBatch(hashes, CompressionPool());
-    r.chunk_count = static_cast<uint32_t>(hashes.size());
-    struct Planned {
-      size_t index;
-      uint64_t begin;
-      uint64_t len;
-      uint64_t wire;
+    // termination must reason about. CutAndPlan compresses each pending
+    // chunk once, with the dedup container's stored fallback; its wire size
+    // is what a round streams and what the stop-and-copy would ship.
+    const uint64_t epoch = Cria::BeginDirtyEpoch(device, pids);
+    FLUX_ASSIGN_OR_RETURN(PlannedCut cut, CutAndPlan(app));
+    const LzChunkStreams& streams = cut.streams;
+    // What chunk i costs on the wire: pending chunks are compressed or
+    // stored, never refs.
+    auto wire_of = [&](size_t i) {
+      return Charged(streams.chunks[i].size());
     };
-    std::vector<Planned> plan_chunks;
-    for (size_t i = 0; i < hashes.size(); ++i) {
-      const uint64_t begin = uint64_t{i} * kMigrationChunkBytes;
-      const uint64_t len =
-          std::min<uint64_t>(kMigrationChunkBytes, image_span.size() - begin);
-      if (cached[i] != 0) {
-        continue;
+    r.chunk_count = static_cast<uint32_t>(cut.hashes.size());
+    std::vector<size_t> pending;
+    for (size_t i = 0; i < cut.hashes.size(); ++i) {
+      if (cut.cached[i] == 0) {
+        pending.push_back(i);
+        r.pending_raw_bytes += streams.RawChunkSize(i);
       }
-      plan_chunks.push_back({i, begin, len, len});
-      r.pending_raw_bytes += len;
     }
-    // Size each pending chunk for the wire on the compression pool, with
-    // the dedup container's stored fallback for incompressible chunks.
-    CompressionPool()->ParallelForChunked(
-        plan_chunks.size(), [&](size_t first, size_t last) {
-          for (size_t k = first; k < last; ++k) {
-            Planned& p = plan_chunks[k];
-            p.wire = std::min(
-                p.len, LzCompressedSize(image_span.subspan(p.begin, p.len)));
-          }
-        });
-    r.pending_chunks = static_cast<uint32_t>(plan_chunks.size());
+    r.pending_chunks = static_cast<uint32_t>(pending.size());
     pre.dirty_bytes += r.pending_raw_bytes;
 
     // Bandwidth-aware termination: what would freezing at this cut cost?
     // The pending chunks pay the full serialize → wire → restore path in
     // the stop-and-copy; everything else rides the cache as refs.
     uint64_t pending_wire = 0;
-    for (const Planned& p : plan_chunks) {
-      pending_wire += Charged(p.wire);
+    for (const size_t i : pending) {
+      pending_wire += wire_of(i);
     }
     r.est_stop_copy = CpuCost(device, r.pending_raw_bytes, kSerializeMbps) +
                       wifi.TransferTime(pending_wire, link) +
@@ -537,19 +551,19 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
       // Freeze here: this cut is a probe, nothing streams, the pending
       // chunks ship in the stop-and-copy itself.
       converged = true;
-      r.interval.end = clock.now();
-      pre.rounds.push_back(r);
-      break;
-    }
-    if (round > 0 && pending_prev > 0 &&
-        static_cast<double>(r.pending_raw_bytes) >
-            kPrecopyMinRoundShrink * static_cast<double>(pending_prev)) {
+    } else if (round > 0 && pending_prev > 0 &&
+               static_cast<double>(r.pending_raw_bytes) >
+                   kPrecopyMinRoundShrink * static_cast<double>(pending_prev)) {
       stop_reason = StrFormat(
           "pending set stopped shrinking (%llu -> %llu bytes in round %d)",
           static_cast<unsigned long long>(pending_prev),
           static_cast<unsigned long long>(r.pending_raw_bytes), round);
+    }
+    if (converged || !stop_reason.empty()) {
       r.interval.end = clock.now();
       pre.rounds.push_back(r);
+      final_cut = std::move(cut);
+      final_epoch = epoch;
       break;
     }
     pending_prev = r.pending_raw_bytes;
@@ -557,19 +571,23 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     // Stream the missing chunks, warming both caches for the final
     // stop-and-copy's dedup pass. Round 0 streams the whole image; later
     // rounds only the chunks the writes actually changed.
-    for (const Planned& p : plan_chunks) {
-      const ByteSpan chunk(image_span.data() + p.begin, p.len);
-      home_cache.Insert(hashes[p.index], chunk);
+    const ByteSpan image_span(cut.cria.image.data(), cut.cria.image.size());
+    auto chunk_of = [&](size_t i) {
+      return image_span.subspan(uint64_t{i} * kMigrationChunkBytes,
+                                streams.RawChunkSize(i));
+    };
+    for (const size_t i : pending) {
+      home_cache.Insert(cut.hashes[i], chunk_of(i));
       if (!config_.resume) {
         // Resume mode defers the guest insert to each chunk's wire finish
         // below — chunk-granular delivery is what a mid-round outage
         // resumes against.
-        guest_cache.Insert(hashes[p.index], chunk);
+        guest_cache.Insert(cut.hashes[i], chunk_of(i));
       }
-      r.raw_bytes_sent += p.len;
-      r.wire_bytes += Charged(p.wire);
+      r.raw_bytes_sent += streams.RawChunkSize(i);
+      r.wire_bytes += wire_of(i);
     }
-    r.chunks_sent = static_cast<uint32_t>(plan_chunks.size());
+    r.chunks_sent = static_cast<uint32_t>(pending.size());
 
     // Pace the simulated clock along a serialize → compress → wire →
     // decompress schedule (no restore stage: the guest only caches). The
@@ -580,18 +598,17 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     stages[1].name = "compress";
     stages[2].name = "wire";
     stages[3].name = "decompress";
-    for (size_t i = 0; i < plan_chunks.size(); ++i) {
-      const Planned& p = plan_chunks[i];
+    for (size_t k = 0; k < pending.size(); ++k) {
+      const size_t i = pending[k];
       // Pending chunks are guest-cache misses: never refs, and stored
       // exactly when compression did not shrink them.
-      const ChunkCpuCosts cost = ChunkCosts(
-          device, guest_device, p.len,
-          p.wire < p.len ? LzChunkKind::kLz : LzChunkKind::kStored,
-          /*prewarmed=*/false);
+      const ChunkCpuCosts cost =
+          ChunkCosts(device, guest_device, streams.RawChunkSize(i),
+                     streams.KindOf(i), /*prewarmed=*/false);
       stages[0].chunk_cost.push_back(cost.serialize);
       stages[1].chunk_cost.push_back(cost.compress);
       stages[2].chunk_cost.push_back(
-          ChunkWireCost(wifi, link, Charged(p.wire), i));
+          ChunkWireCost(wifi, link, wire_of(i), k));
       stages[3].chunk_cost.push_back(cost.decompress);
     }
     const PipelinePlan plan = SchedulePipeline(stages);
@@ -605,15 +622,13 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
       // with the resume handshake — the round continues where it stopped
       // instead of aborting the migration.
       constexpr size_t kWireStage = 2;
-      ResumableStream stream{wifi, link, hashes,
+      ResumableStream stream{wifi, link, cut.hashes,
                              "network lost during pre-copy round"};
-      for (size_t i = 0; i < plan_chunks.size(); ++i) {
-        const Planned& p = plan_chunks[i];
-        FLUX_RETURN_IF_ERROR(AdvanceStream(stream,
-                                           t0 + plan.finish[kWireStage][i],
-                                           Charged(p.wire), report));
-        guest_cache.Insert(hashes[p.index],
-                           ByteSpan(image_span.data() + p.begin, p.len));
+      for (size_t k = 0; k < pending.size(); ++k) {
+        const size_t i = pending[k];
+        FLUX_RETURN_IF_ERROR(AdvanceStream(
+            stream, t0 + plan.finish[kWireStage][k], wire_of(i), report));
+        guest_cache.Insert(cut.hashes[i], chunk_of(i));
       }
       AdvanceWithTicks(t0 + plan.makespan + stream.extra);
       r.wire_bytes += stream.extra_wire;
@@ -646,20 +661,25 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     report.forensics = last_forensics_;
   }
 
-  // The final cut. A write can race the freeze (the test hook models
-  // one): if anything dirtied after the cut, the image is stale — re-cut
+  // The stop-and-copy ships the last round's cut when the rounds ended
+  // right after planning it, and a fresh cut after a streaming round. A
+  // write can race the freeze (the test hook models one): if anything
+  // dirtied since the cut's epoch opened, the image is stale — re-cut
   // instead of silently dropping the bytes. The mutator is off, so the
   // loop terminates as soon as the racing writer goes quiet.
   Bytes payload;
   for (int cut = 0;; ++cut) {
-    const uint64_t final_epoch = Cria::BeginDirtyEpoch(device, pids);
+    const bool reuse = cut == 0 && final_cut.has_value();
+    const uint64_t epoch =
+        reuse ? final_epoch : Cria::BeginDirtyEpoch(device, pids);
     report.pipeline = PipelineStats{};
     report.dedup = DedupStats{};
-    FLUX_ASSIGN_OR_RETURN(payload, BuildPayload(app, report));
+    FLUX_ASSIGN_OR_RETURN(
+        payload, BuildPayload(app, report, reuse ? &*final_cut : nullptr));
     if (cut == 0 && config_.precopy_after_final_cut) {
       config_.precopy_after_final_cut();
     }
-    if (Cria::DirtyBytesSince(device, pids, final_epoch) == 0) {
+    if (Cria::DirtyBytesSince(device, pids, epoch) == 0) {
       break;
     }
     ++pre.final_recuts;
@@ -1250,20 +1270,32 @@ Result<CriaRestoredApp> MigrationManager::RestoreOnGuest(
   Bytes image_bytes;
   ByteSpan image = image_view;
   std::optional<Hash128> container_digest;
+  // Dedup mode feeds the restored chunks back into this device's cache, so
+  // the next hop (either direction) dedups against them. Only a container
+  // cut at the cache's own chunk size is re-inserted: that is every
+  // container the engine cuts and the only size a manifest can hit, and
+  // the home picks the size, so a container of tiny chunks would otherwise
+  // make the guest pay an entry's list and map overhead per few bytes.
+  std::vector<Hash128> chunk_keys;
+  bool reinsert = false;
   if (compressed) {
     if (LzIsChunkedStream(image_view)) {
-      LzChunkRefResolver resolver;
+      std::optional<ChunkCacheRefSource> refs;
       if (config_.chunk_dedup) {
-        // Ref chunks resolve from this device's cache; Fetch re-verifies
-        // content against the hash, so a poisoned entry reads as a miss
-        // and the decode fails loudly instead of corrupting the restore.
-        resolver = [this](const Hash128& hash, Bytes& out) {
-          return guest_.chunk_cache().Fetch(hash, out);
-        };
+        // Ref chunks resolve from this device's cache, every entry
+        // re-verified against its hash on the pool, so a poisoned entry
+        // reads as a miss and the decode fails loudly instead of
+        // corrupting the restore.
+        refs.emplace(guest_.chunk_cache());
+        const auto info = LzPeekChunkContainer(image_view);
+        reinsert =
+            info.ok() && info.value().chunk_size == kChunkCacheChunkBytes;
       }
       FLUX_ASSIGN_OR_RETURN(
           Bytes raw,
-          LzDecompressChunks(image_view, resolver, &container_digest));
+          LzDecompressChunks(image_view, refs ? &*refs : nullptr,
+                             &container_digest, CompressionPool(),
+                             reinsert ? &chunk_keys : nullptr));
       image_bytes = std::move(raw);
     } else {
       FLUX_ASSIGN_OR_RETURN(Bytes raw, LzDecompress(image_view));
@@ -1284,23 +1316,16 @@ Result<CriaRestoredApp> MigrationManager::RestoreOnGuest(
   report.restored_image_hash = container_digest.has_value()
                                    ? *container_digest
                                    : FluxHash128(image);
-  if (config_.chunk_dedup && LzIsChunkedStream(image_view)) {
-    // Feed the reassembled image back into this device's cache at the
-    // container's own chunk granularity: the next hop (either direction)
-    // dedups against exactly these chunks. Content is verified — the
-    // container digest already matched. The chunk keys are hashed on the
-    // compression pool.
-    if (auto info = LzPeekChunkContainer(image_view);
-        info.ok() && info.value().chunk_size > 0) {
-      const uint32_t chunk = info.value().chunk_size;
-      const std::vector<Hash128> hashes =
-          LzChunkHashes(image, chunk, CompressionPool());
-      ChunkCache& cache = guest_.chunk_cache();
-      for (size_t i = 0; i < hashes.size(); ++i) {
-        const uint64_t begin = uint64_t{i} * chunk;
-        const uint64_t len = std::min<uint64_t>(chunk, image.size() - begin);
-        cache.Insert(hashes[i], image.subspan(begin, len));
-      }
+  if (reinsert) {
+    // Content is verified — the container digest already matched — and
+    // the decoder reported each chunk's key: the ref it resolved, or a
+    // hash of the bytes it decoded.
+    ChunkCache& cache = guest_.chunk_cache();
+    for (size_t i = 0; i < chunk_keys.size(); ++i) {
+      const uint64_t begin = uint64_t{i} * kChunkCacheChunkBytes;
+      const uint64_t len =
+          std::min<uint64_t>(kChunkCacheChunkBytes, image.size() - begin);
+      cache.Insert(chunk_keys[i], image.subspan(begin, len));
     }
   }
 

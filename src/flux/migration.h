@@ -23,6 +23,7 @@
 #include <string>
 
 #include "src/apps/app_instance.h"
+#include "src/base/compress.h"
 #include "src/base/hash.h"
 #include "src/cria/cria.h"
 #include "src/flux/cost_model.h"
@@ -310,12 +311,29 @@ class MigrationManager {
 
  private:
   Status Prepare(const RunningApp& app, MigrationReport& report);
-  Result<Bytes> BuildPayload(const RunningApp& app, MigrationReport& report);
+  // A checkpoint cut, planned for shipping: in chunked modes its chunks are
+  // encoded once, and with chunk_dedup they are keyed and probed against
+  // the guest's cache (the probe's hits travel as refs).
+  struct PlannedCut {
+    CriaCheckpointResult cria;
+    std::vector<Hash128> hashes;  // chunk_dedup: each raw chunk's key
+    std::vector<uint8_t> cached;  // chunk_dedup: 1 = the guest holds it
+    LzChunkStreams streams;       // chunked modes; digest not yet set
+  };
+  // Cuts the app's process tree and plans the cut (host work only; the
+  // simulated clock does not move). Every pre-copy round and every fresh
+  // stop-and-copy plans the same way.
+  Result<PlannedCut> CutAndPlan(const RunningApp& app);
+  // Builds the payload from `planned` when given (a pre-copy round's cut,
+  // taken with nothing run or written since), else from a fresh cut.
+  Result<Bytes> BuildPayload(const RunningApp& app, MigrationReport& report,
+                             PlannedCut* planned = nullptr);
   // Pre-copy mode: runs the converging warm-up rounds (streaming chunks
   // into the guest cache while the app keeps dirtying memory), then
-  // freezes the app and cuts the final stop-and-copy payload — re-cutting
-  // if a write raced the cut. Fills report.precopy and folds the whole
-  // window into the checkpoint interval.
+  // freezes the app and ships the stop-and-copy payload — the last round's
+  // cut when the rounds end right after planning it, a fresh cut after a
+  // streaming round, and a re-cut if a write raced either. Fills
+  // report.precopy and folds the whole window into the checkpoint interval.
   Result<Bytes> BuildPayloadPrecopy(const RunningApp& app, const AppSpec& spec,
                                     MigrationReport& report);
   Status Transfer(const RunningApp& app, const AppSpec& spec,

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <span>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -312,27 +314,46 @@ TEST(DedupCompressTest, StoredFallbackOnCompressibleInputStaysV1) {
             LzCompressChunks(span, 64 * 1024));
 }
 
-// A resolver backed by the input itself, as the guest's ChunkCache would be
-// after an earlier hop.
-LzChunkRefResolver ResolverOver(const Bytes& input, uint32_t chunk_size) {
-  std::unordered_map<Hash128, Bytes, Hash128Hasher> store;
-  const std::vector<Hash128> hashes =
-      LzChunkHashes(ByteSpan(input.data(), input.size()), chunk_size);
-  for (size_t i = 0; i < hashes.size(); ++i) {
-    const uint64_t begin = uint64_t{i} * chunk_size;
-    const uint64_t len =
-        std::min<uint64_t>(chunk_size, input.size() - begin);
-    store[hashes[i]] = Bytes(input.begin() + begin, input.begin() + begin + len);
-  }
-  return [store](const Hash128& hash, Bytes& out) {
-    auto it = store.find(hash);
-    if (it == store.end()) {
-      return false;
+// A ref source backed by the input itself, as the guest's ChunkCache would
+// be after an earlier hop. It records how many lookups the decoder settled.
+class InputRefSource : public LzChunkRefSource {
+ public:
+  InputRefSource(const Bytes& input, uint32_t chunk_size) {
+    const std::vector<Hash128> hashes =
+        LzChunkHashes(ByteSpan(input.data(), input.size()), chunk_size);
+    for (size_t i = 0; i < hashes.size(); ++i) {
+      const uint64_t begin = uint64_t{i} * chunk_size;
+      const uint64_t len =
+          std::min<uint64_t>(chunk_size, input.size() - begin);
+      store_[hashes[i]] =
+          Bytes(input.begin() + begin, input.begin() + begin + len);
     }
-    out = it->second;
-    return true;
-  };
-}
+  }
+
+  std::vector<std::optional<ByteSpan>> Lookup(std::span<const Hash128> refs,
+                                              ThreadPool*) override {
+    std::vector<std::optional<ByteSpan>> found;
+    for (const Hash128& ref : refs) {
+      auto it = store_.find(ref);
+      found.push_back(it == store_.end()
+                          ? std::nullopt
+                          : std::optional<ByteSpan>(ByteSpan(
+                                it->second.data(), it->second.size())));
+    }
+    looked_up_ = refs.size();
+    return found;
+  }
+  void Settle(size_t n) override { settled_ = n; }
+
+  void Forget(const Hash128& hash) { store_.erase(hash); }
+  size_t looked_up() const { return looked_up_; }
+  size_t settled() const { return settled_; }
+
+ private:
+  std::unordered_map<Hash128, Bytes, Hash128Hasher> store_;
+  size_t looked_up_ = 0;
+  size_t settled_ = 0;
+};
 
 TEST(DedupCompressTest, RefChunksRoundTripThroughResolver) {
   constexpr uint32_t kChunk = 64 * 1024;
@@ -356,14 +377,16 @@ TEST(DedupCompressTest, RefChunksRoundTripThroughResolver) {
   const Bytes full = LzCompressChunks(span, kChunk);
   EXPECT_LT(container.size(), full.size());
   // A digest the caller already holds is carried as is: same container.
-  plan.content_hash = FluxHash128(span);
-  EXPECT_EQ(LzAssembleChunkContainer(
-                LzCompressChunkStreamsDeduped(span, kChunk, nullptr, plan)),
-            container);
+  plan.defer_digest = true;
+  LzChunkStreams deferred =
+      LzCompressChunkStreamsDeduped(span, kChunk, nullptr, plan);
+  deferred.content_hash = FluxHash128(span);
+  EXPECT_EQ(LzAssembleChunkContainer(deferred), container);
 
   std::optional<Hash128> digest;
+  InputRefSource refs(input, kChunk);
   auto raw = LzDecompressChunks(ByteSpan(container.data(), container.size()),
-                                ResolverOver(input, kChunk), &digest);
+                                &refs, &digest);
   ASSERT_TRUE(raw.ok()) << raw.status().ToString();
   EXPECT_EQ(*raw, input);
   // The reported digest is the one recomputed from the reassembled bytes.
@@ -394,14 +417,22 @@ TEST(DedupCompressTest, ResolverServingWrongContentRejected) {
   plan.ref_chunks.assign(plan.hashes.size(), 1);
   const Bytes container = LzAssembleChunkContainer(
       LzCompressChunkStreamsDeduped(span, kChunk, nullptr, plan));
-  // A lying resolver: content that does not hash to the requested key must
+  // A lying source: content that does not hash to the requested key must
   // be caught before it reaches the image.
-  auto raw = LzDecompressChunks(
-      ByteSpan(container.data(), container.size()),
-      [](const Hash128&, Bytes& out) {
-        out.assign(kChunk, 0x00);
-        return true;
-      });
+  class ZeroRefs : public LzChunkRefSource {
+   public:
+    std::vector<std::optional<ByteSpan>> Lookup(
+        std::span<const Hash128> refs, ThreadPool*) override {
+      return std::vector<std::optional<ByteSpan>>(
+          refs.size(), ByteSpan(zeros_.data(), zeros_.size()));
+    }
+    void Settle(size_t) override {}
+
+   private:
+    Bytes zeros_ = Bytes(kChunk, 0x00);
+  } zero_refs;
+  auto raw = LzDecompressChunks(ByteSpan(container.data(), container.size()),
+                                &zero_refs);
   ASSERT_FALSE(raw.ok());
   EXPECT_EQ(raw.status().code(), StatusCode::kCorrupt);
 }
@@ -424,6 +455,130 @@ TEST(DedupCompressTest, TamperedV2BodyCaughtByContainerDigest) {
   ASSERT_FALSE(raw.ok());
   EXPECT_EQ(raw.status().code(), StatusCode::kCorrupt);
   EXPECT_FALSE(digest.has_value());
+}
+
+// 64 KiB chunks of compressible, incompressible and again compressible
+// content with a short tail, every third chunk a ref: the container holds
+// kLz, kStored and kRef chunks.
+constexpr uint32_t kMixedChunk = 64 * 1024;
+
+struct MixedContainer {
+  Bytes input;
+  LzChunkStreams streams;
+  Bytes container;
+};
+
+MixedContainer MakeMixedContainer() {
+  MixedContainer mixed;
+  for (const auto& [seed, size, compressibility] :
+       {std::tuple<uint64_t, uint64_t, double>{81, 3 * kMixedChunk, 0.6},
+        {83, 2 * kMixedChunk, 0.0},
+        {85, 3 * kMixedChunk + 1234, 0.8}}) {
+    const Bytes part = GenerateContent(seed, size, compressibility);
+    mixed.input.insert(mixed.input.end(), part.begin(), part.end());
+  }
+  const ByteSpan span(mixed.input.data(), mixed.input.size());
+  LzChunkDedupPlan plan;
+  plan.stored_fallback = true;
+  plan.hashes = LzChunkHashes(span, kMixedChunk);
+  plan.ref_chunks.assign(plan.hashes.size(), 0);
+  for (size_t i = 1; i < plan.ref_chunks.size(); i += 3) {
+    plan.ref_chunks[i] = 1;
+  }
+  mixed.streams =
+      LzCompressChunkStreamsDeduped(span, kMixedChunk, nullptr, plan);
+  mixed.container = LzAssembleChunkContainer(mixed.streams);
+  return mixed;
+}
+
+// Offset of chunk `i`'s FLZ1 stream inside the assembled container.
+size_t ChunkStreamOffset(const LzChunkStreams& streams, size_t i) {
+  size_t offset = streams.HeaderBytes();
+  for (size_t k = 0; k < i; ++k) {
+    offset += streams.ChunkWireBytes(k);
+  }
+  return offset + 4;  // past the chunk's u32 prefix
+}
+
+TEST(DedupCompressTest, PooledDecodeMatchesInlineAcrossChunkKinds) {
+  const MixedContainer mixed = MakeMixedContainer();
+  const LzChunkStreams& streams = mixed.streams;
+  std::vector<int> kinds(3, 0);
+  for (size_t i = 0; i < streams.chunks.size(); ++i) {
+    ++kinds[static_cast<size_t>(streams.KindOf(i))];
+  }
+  ASSERT_GT(kinds[static_cast<size_t>(LzChunkKind::kLz)], 0);
+  ASSERT_GT(kinds[static_cast<size_t>(LzChunkKind::kStored)], 0);
+  ASSERT_GT(kinds[static_cast<size_t>(LzChunkKind::kRef)], 0);
+  const ByteSpan input(mixed.input.data(), mixed.input.size());
+
+  ThreadPool pool(4);
+  for (ThreadPool* decode_pool : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    SCOPED_TRACE(decode_pool != nullptr ? "4-thread pool" : "no pool");
+    InputRefSource refs(mixed.input, kMixedChunk);
+    std::optional<Hash128> digest;
+    std::vector<Hash128> keys;
+    auto raw = LzDecompressChunks(
+        ByteSpan(mixed.container.data(), mixed.container.size()), &refs,
+        &digest, decode_pool, &keys);
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    EXPECT_EQ(*raw, mixed.input);
+    ASSERT_TRUE(digest.has_value());
+    EXPECT_EQ(*digest, FluxHash128(input));
+    EXPECT_EQ(keys, LzChunkHashes(input, kMixedChunk));
+    // Every ref was looked up once, and every lookup settled.
+    EXPECT_EQ(refs.looked_up(),
+              static_cast<size_t>(kinds[static_cast<size_t>(LzChunkKind::kRef)]));
+    EXPECT_EQ(refs.settled(), refs.looked_up());
+  }
+}
+
+TEST(DedupCompressTest, PooledDecodeFailsLikeInline) {
+  const MixedContainer mixed = MakeMixedContainer();
+  const std::vector<Hash128> hashes = LzChunkHashes(
+      ByteSpan(mixed.input.data(), mixed.input.size()), kMixedChunk);
+  ASSERT_EQ(mixed.streams.KindOf(4), LzChunkKind::kRef);
+  ASSERT_EQ(mixed.streams.KindOf(6), LzChunkKind::kLz);
+
+  struct Case {
+    const char* name;
+    size_t missing_ref;  // chunk whose ref the source lacks (0 = none)
+    size_t corrupt_lz;   // kLz chunk whose first item becomes a bad match
+    size_t settled;      // lookups a chunk-by-chunk decode makes
+  };
+  // Refs sit at chunks 1, 4 and 7. A missing ref is fetched and fails; a
+  // corrupt kLz chunk stops the decode before the refs behind it.
+  const Case cases[] = {{"missing ref", 4, 0, 2},
+                        {"corrupt kLz ahead of a ref", 0, 6, 2}};
+  ThreadPool pool(4);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Bytes container = mixed.container;
+    if (c.corrupt_lz != 0) {
+      container[ChunkStreamOffset(mixed.streams, c.corrupt_lz) + 12] = 0x01;
+    }
+    std::vector<Status> statuses;
+    for (ThreadPool* decode_pool :
+         {&pool, static_cast<ThreadPool*>(nullptr)}) {
+      InputRefSource refs(mixed.input, kMixedChunk);
+      if (c.missing_ref != 0) {
+        refs.Forget(hashes[c.missing_ref]);
+      }
+      std::optional<Hash128> digest;
+      std::vector<Hash128> keys;
+      auto raw = LzDecompressChunks(
+          ByteSpan(container.data(), container.size()), &refs, &digest,
+          decode_pool, &keys);
+      ASSERT_FALSE(raw.ok());
+      EXPECT_EQ(raw.status().code(), StatusCode::kCorrupt);
+      EXPECT_EQ(refs.settled(), c.settled);
+      EXPECT_FALSE(digest.has_value());
+      EXPECT_TRUE(keys.empty());
+      statuses.push_back(raw.status());
+    }
+    EXPECT_EQ(statuses[0], statuses[1])
+        << statuses[0].ToString() << " vs " << statuses[1].ToString();
+  }
 }
 
 // ----- thread pool -----

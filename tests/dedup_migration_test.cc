@@ -5,13 +5,20 @@
 // restore.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/apps/app_instance.h"
+#include "src/base/archive.h"
+#include "src/base/compress.h"
+#include "src/base/synthetic_content.h"
 #include "src/base/thread_pool.h"
 #include "src/device/world.h"
 #include "src/flux/chunk_cache.h"
+#include "src/flux/flight_recorder.h"
 #include "src/flux/migration.h"
 
 namespace flux {
@@ -209,6 +216,54 @@ TEST(DedupMigrationTest, EntryPoisonedAfterManifestRollsBack) {
   EXPECT_TRUE(tw.a->kernel().ProcessesOfUid(on_a->uid).empty());
 }
 
+TEST(DedupMigrationTest, ForeignChunkSizeRestoresWithoutCacheReinsert) {
+  RoundTripWorld tw;
+  tw.Boot("Candy Crush Saga");
+  MigrationConfig config = DedupConfig();
+  // The home picks the container's chunk size. Re-encode the image at 4 KiB
+  // chunks: still a valid container, but not the cache's granularity.
+  config.payload_fault = [](Bytes& payload) {
+    ArchiveReader reader(ByteSpan(payload.data(), payload.size()));
+    uint32_t magic = 0;
+    std::string package;
+    ArchiveReader section({});
+    bool compressed = false;
+    ASSERT_TRUE(reader.GetU32(magic).ok());
+    ASSERT_TRUE(reader.GetString(package).ok());
+    ASSERT_TRUE(reader.GetSection(section).ok());  // hardware snapshot
+    ASSERT_TRUE(reader.GetSection(section).ok());  // call log
+    ASSERT_TRUE(reader.GetBool(compressed).ok());
+    const size_t prefix = payload.size() - reader.remaining();
+    ByteSpan container;
+    ASSERT_TRUE(reader.GetBytesView(container).ok());
+    ASSERT_TRUE(reader.AtEnd());
+    auto image = LzDecompressChunks(container);  // a cold hop ships no refs
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    const Bytes foreign =
+        LzCompressChunks(ByteSpan(image->data(), image->size()), 4096);
+    // The transfer charges the payload outside the original chunk stream
+    // as its prefix, so the re-encoded container must not shrink it.
+    ASSERT_GE(foreign.size(), container.size());
+    ArchiveWriter tail;
+    tail.PutBytes(ByteSpan(foreign.data(), foreign.size()));
+    payload.resize(prefix);
+    payload.insert(payload.end(), tail.data().begin(), tail.data().end());
+  };
+  ChunkCache& guest_cache = tw.b_agent->chunk_cache();
+  const size_t entries_before = guest_cache.entries();
+  const ChunkCache::Stats before = guest_cache.stats();
+
+  auto hop = tw.Hop(*tw.a_agent, *tw.b_agent, config);
+  ASSERT_TRUE(hop.ok()) << hop.status().ToString();
+  ASSERT_TRUE(hop->success) << hop->refusal_reason;
+  EXPECT_EQ(hop->image_hash, hop->restored_image_hash);
+  EXPECT_NE(tw.b->kernel().FindProcess(hop->migrated.pid), nullptr);
+  // Nothing was re-inserted at the foreign granularity.
+  EXPECT_EQ(guest_cache.entries(), entries_before);
+  EXPECT_EQ(guest_cache.stats().insertions, before.insertions);
+  EXPECT_EQ(guest_cache.stats().refreshes, before.refreshes);
+}
+
 // The cache itself: budget-bounded LRU with verified reads.
 TEST(ChunkCacheTest, LruEvictionVerificationAndBudget) {
   ChunkCache cache(/*budget_bytes=*/1024);
@@ -308,6 +363,125 @@ TEST(ChunkCacheTest, BatchProbeMatchesHasValidInOrder) {
     EXPECT_EQ(b.misses, a.misses);
     EXPECT_EQ(b.verify_failures, a.verify_failures);
     EXPECT_EQ(b.evictions, a.evictions);
+  }
+}
+
+// A chunk-by-chunk decode fetches each ref in chunk order and stops at its
+// first failing chunk. Decoding on a pool, and inline, must leave the cache
+// exactly as that Fetch loop does, and fail with the message the serial
+// decoder gave.
+TEST(ChunkCacheTest, PooledRefDecodeSettlesLikeAFetchLoop) {
+  constexpr uint32_t kChunk = 64 * 1024;
+  Bytes image;
+  for (const auto& [seed, size, compressibility] :
+       {std::tuple<uint64_t, uint64_t, double>{91, 4 * kChunk, 0.6},
+        {93, 2 * kChunk, 0.0},
+        {95, 3 * kChunk + 777, 0.7}}) {
+    const Bytes part = GenerateContent(seed, size, compressibility);
+    image.insert(image.end(), part.begin(), part.end());
+  }
+  const ByteSpan span(image.data(), image.size());
+  LzChunkDedupPlan plan;
+  plan.stored_fallback = true;
+  plan.hashes = LzChunkHashes(span, kChunk);
+  plan.ref_chunks.assign(plan.hashes.size(), 0);
+  for (size_t i = 1; i < plan.ref_chunks.size(); i += 2) {
+    plan.ref_chunks[i] = 1;  // refs at chunks 1, 3, 5, 7 and 9
+  }
+  const LzChunkStreams streams =
+      LzCompressChunkStreamsDeduped(span, kChunk, nullptr, plan);
+  ASSERT_EQ(streams.KindOf(2), LzChunkKind::kLz);
+  ASSERT_EQ(streams.KindOf(4), LzChunkKind::kStored);
+  ASSERT_EQ(streams.KindOf(5), LzChunkKind::kRef);
+  const Bytes container = LzAssembleChunkContainer(streams);
+  const std::vector<Hash128>& hashes = plan.hashes;
+
+  struct Case {
+    const char* name;
+    size_t fail_chunk;
+    // Breaks both caches the same way.
+    std::function<void(ChunkCache&)> damage_cache;
+    size_t corrupt_lz;  // kLz chunk whose first item becomes a bad match
+    // Recorded from the serial decoder this one replaced.
+    std::string message;
+  };
+  const Case cases[] = {
+      {"poisoned ref", 5,
+       [&](ChunkCache& cache) { ASSERT_TRUE(cache.PoisonForTest(hashes[5])); },
+       0,
+       "LzDecompressChunks: unresolvable ref chunk "
+       "fa79b80b7d17833625619b85140b7103"},
+      {"missing ref", 5,
+       [&](ChunkCache& cache) { ASSERT_TRUE(cache.Remove(hashes[5])); }, 0,
+       "LzDecompressChunks: unresolvable ref chunk "
+       "fa79b80b7d17833625619b85140b7103"},
+      {"corrupt kLz ahead of a ref", 2, [](ChunkCache&) {}, 2,
+       "LzDecompress: bad match offset"},
+  };
+
+  ThreadPool pool(4);
+  for (const Case& c : cases) {
+    for (ThreadPool* decode_pool :
+         {&pool, static_cast<ThreadPool*>(nullptr)}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (decode_pool != nullptr ? ", 4-thread pool" : ", no pool"));
+      FlightRecorder decode_events(nullptr);
+      FlightRecorder loop_events(nullptr);
+      ChunkCache decoded(/*budget_bytes=*/16 * kChunk);
+      ChunkCache looped(/*budget_bytes=*/16 * kChunk);
+      decoded.set_flight_recorder(&decode_events);
+      looped.set_flight_recorder(&loop_events);
+      for (ChunkCache* cache : {&decoded, &looped}) {
+        for (size_t i = hashes.size(); i-- > 0;) {
+          const uint64_t begin = uint64_t{i} * kChunk;
+          cache->Insert(hashes[i],
+                        span.subspan(begin, std::min<uint64_t>(
+                                                kChunk, span.size() - begin)));
+        }
+        c.damage_cache(*cache);
+      }
+      Bytes damaged = container;
+      if (c.corrupt_lz != 0) {
+        size_t offset = streams.HeaderBytes();
+        for (size_t k = 0; k < c.corrupt_lz; ++k) {
+          offset += streams.ChunkWireBytes(k);
+        }
+        damaged[offset + 4 + 12] = 0x01;  // first flag byte of its stream
+      }
+
+      ChunkCacheRefSource refs(decoded);
+      auto raw = LzDecompressChunks(ByteSpan(damaged.data(), damaged.size()),
+                                    &refs, nullptr, decode_pool);
+      ASSERT_FALSE(raw.ok());
+      EXPECT_EQ(raw.status().code(), StatusCode::kCorrupt);
+      EXPECT_EQ(raw.status().message(), c.message);
+
+      for (size_t i = 0; i <= c.fail_chunk; ++i) {
+        if (plan.ref_chunks[i] != 0) {
+          Bytes out;
+          looped.Fetch(hashes[i], out);
+        }
+      }
+      const ChunkCache::Stats& a = looped.stats();
+      const ChunkCache::Stats& b = decoded.stats();
+      EXPECT_EQ(b.insertions, a.insertions);
+      EXPECT_EQ(b.refreshes, a.refreshes);
+      EXPECT_EQ(b.hits, a.hits);
+      EXPECT_EQ(b.misses, a.misses);
+      EXPECT_EQ(b.verify_failures, a.verify_failures);
+      EXPECT_EQ(b.evictions, a.evictions);
+      EXPECT_EQ(decoded.Keys(), looped.Keys());
+      EXPECT_EQ(decoded.bytes(), looped.bytes());
+      const std::vector<FlightEventView> want = loop_events.Snapshot();
+      const std::vector<FlightEventView> got = decode_events.Snapshot();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].subsystem, want[k].subsystem);
+        EXPECT_EQ(got[k].name, want[k].name);
+        EXPECT_EQ(got[k].arg0, want[k].arg0);
+        EXPECT_EQ(got[k].arg1, want[k].arg1);
+      }
+    }
   }
 }
 

@@ -1,9 +1,10 @@
 // Iterative pre-copy (DESIGN.md §10): dirty-segment tracking in the address
-// space, the pinned bytes of the full CRIA image every round cuts, and the
-// converging warm-up rounds in MigrationManager — plus the two failure
-// paths that must stay safe: a write racing the final stop-and-copy cut
-// (re-cut, never silently dropped) and a poisoned guest chunk cache (full
-// chunks re-ship, restore stays byte-exact).
+// space, the pinned bytes of the full CRIA image every round cuts, the
+// converging warm-up rounds in MigrationManager and the cuts they take (a
+// converged hop ships its probe round's cut; a streaming exit cuts afresh)
+// — plus the two failure paths that must stay safe: a write racing the
+// final stop-and-copy cut (re-cut, never silently dropped) and a poisoned
+// guest chunk cache (full chunks re-ship, restore stays byte-exact).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,9 +16,11 @@
 #include "src/cria/cria.h"
 #include "src/device/world.h"
 #include "src/flux/chunk_cache.h"
+#include "src/flux/flight_recorder.h"
 #include "src/flux/flux_agent.h"
 #include "src/flux/migration.h"
 #include "src/flux/pairing.h"
+#include "src/flux/trace.h"
 #include "src/kernel/address_space.h"
 
 namespace flux {
@@ -209,6 +212,29 @@ MigrationConfig PrecopyConfig() {
   return config;
 }
 
+#if FLUX_TRACE_ENABLED
+// The CRIA cuts one hop took, counted twice: the cria.checkpoints counter
+// of the hop's tracer, and the home recorder's cria.checkpoint flight
+// events stamped with the hop's trace context.
+struct HopCuts {
+  uint64_t counted = 0;
+  size_t events = 0;
+};
+
+HopCuts CountCuts(Tracer& tracer, const Device& home,
+                  const MigrationReport& report) {
+  HopCuts cuts;
+  cuts.counted = tracer.counter(trace_names::kCriaCheckpoints)->value();
+  for (const FlightEventView& event : home.flight_recorder().Snapshot()) {
+    if (event.name == flight_events::kCriaCheckpoint &&
+        event.ctx == report.trace_context) {
+      ++cuts.events;
+    }
+  }
+  return cuts;
+}
+#endif  // FLUX_TRACE_ENABLED
+
 TEST(PrecopyMigrationTest, ColdHopConvergesAndShrinksPerceivedTime) {
   // Control: the same hop with the plain pipelined+dedup configuration.
   RoundTripWorld control;
@@ -223,7 +249,10 @@ TEST(PrecopyMigrationTest, ColdHopConvergesAndShrinksPerceivedTime) {
 
   RoundTripWorld tw;
   tw.Boot("Candy Crush Saga");
-  auto hop = tw.Hop(*tw.a_agent, *tw.b_agent, PrecopyConfig());
+  Tracer tracer(&tw.a->clock());
+  MigrationConfig config = PrecopyConfig();
+  config.trace = &tracer;
+  auto hop = tw.Hop(*tw.a_agent, *tw.b_agent, config);
   ASSERT_TRUE(hop.ok()) << hop.status().ToString();
   ASSERT_TRUE(hop->success) << hop->refusal_reason;
 
@@ -236,6 +265,15 @@ TEST(PrecopyMigrationTest, ColdHopConvergesAndShrinksPerceivedTime) {
   // No hook, and the write load stops before the freeze: the first final
   // cut is clean.
   EXPECT_EQ(hop->precopy.final_recuts, 0);
+#if FLUX_TRACE_ENABLED
+  // One cut per round: the converging round's cut is the stop-and-copy
+  // image, so the freeze takes no cut of its own.
+  const HopCuts cuts = CountCuts(tracer, *tw.a, *hop);
+  EXPECT_EQ(cuts.counted, hop->precopy.rounds.size());
+  if (tw.a->flight_recorder().enabled()) {
+    EXPECT_EQ(cuts.events, hop->precopy.rounds.size());
+  }
+#endif
   // The stop-and-copy payload rode the warmed cache as refs.
   EXPECT_GT(hop->dedup.ref_chunks, 0u);
 
@@ -321,7 +359,9 @@ TEST(PrecopyMigrationTest, PoisonedGuestCacheFallsBackWithoutCorruption) {
 TEST(PrecopyMigrationTest, NonConvergenceIsReportedThroughForensics) {
   RoundTripWorld tw;
   tw.Boot("Candy Crush Saga");
+  Tracer tracer(&tw.a->clock());
   MigrationConfig config = PrecopyConfig();
+  config.trace = &tracer;
   // One round and an unreachable freeze target: pre-copy cannot converge.
   config.precopy_max_rounds = 1;
   config.precopy_stop_copy_target = 0;
@@ -332,8 +372,18 @@ TEST(PrecopyMigrationTest, NonConvergenceIsReportedThroughForensics) {
   ASSERT_TRUE(hop->success) << hop->refusal_reason;
   EXPECT_TRUE(hop->precopy.enabled);
   EXPECT_FALSE(hop->precopy.converged);
-  EXPECT_EQ(hop->precopy.rounds.size(), 1u);
+  ASSERT_EQ(hop->precopy.rounds.size(), 1u);
+  EXPECT_GT(hop->precopy.rounds[0].chunks_sent, 0u);
   EXPECT_EQ(hop->image_hash, hop->restored_image_hash);
+#if FLUX_TRACE_ENABLED
+  // The round streamed and the app kept running after its cut, so the
+  // stop-and-copy cut afresh.
+  const HopCuts cuts = CountCuts(tracer, *tw.a, *hop);
+  EXPECT_EQ(cuts.counted, hop->precopy.rounds.size() + 1);
+  if (tw.a->flight_recorder().enabled()) {
+    EXPECT_EQ(cuts.events, hop->precopy.rounds.size() + 1);
+  }
+#endif
 
   // The aborted convergence is documented in a forensic report.
   ASSERT_NE(hop->forensics, nullptr);
