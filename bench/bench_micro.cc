@@ -99,6 +99,21 @@ void BM_LzCompress(benchmark::State& state) {
 }
 BENCHMARK(BM_LzCompress)->Arg(64 << 10)->Arg(1 << 20)->Arg(8 << 20);
 
+void BM_LzCompressedSize(benchmark::State& state) {
+  // Pairing's sync size count over 16 MiB at the APK mix. Arg = pool width
+  // (0: inline); the pooled count is stitched to equal the inline one.
+  const Bytes input = GenerateContent(25, 16 << 20, 0.25);
+  ThreadPool pool(static_cast<int>(state.range(0)));
+  ThreadPool* runner = state.range(0) > 0 ? &pool : nullptr;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        LzCompressedSize(ByteSpan(input.data(), input.size()), runner));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(input.size()));
+}
+BENCHMARK(BM_LzCompressedSize)->Arg(0)->Arg(4)->UseRealTime();
+
 void BM_LzDecompress(benchmark::State& state) {
   const Bytes input = GenerateContent(9, static_cast<uint64_t>(state.range(0)),
                                       0.55);

@@ -1,7 +1,9 @@
 #include "src/base/compress.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -24,12 +26,7 @@ constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxMatch = 4 + 255;
 constexpr size_t kHashBuckets = 1 << 16;
 constexpr int kMaxChainProbes = 16;
-
-uint32_t HashTriple(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return (v * 2654435761u) >> 16;
-}
+constexpr size_t kStreamHeaderBytes = 4 + 8;  // magic + raw size
 
 void PutU32(Bytes& out, uint32_t v) {
   out.push_back(static_cast<uint8_t>(v));
@@ -67,9 +64,178 @@ bool GetU64(ByteSpan in, size_t& pos, uint64_t& v) {
   return true;
 }
 
-}  // namespace
+// ----- the greedy parse -----
 
-Bytes LzCompress(ByteSpan input) {
+// Unaligned native-order loads: only equality, a hash and the first
+// differing byte are ever read from them.
+uint32_t Load32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// Hashes the four bytes at p to a bucket index below kHashBuckets.
+uint32_t HashTriple(const uint8_t* p) {
+  return (Load32(p) * 2654435761u) >> 16;
+}
+
+// Length of the common prefix of a and b, at most `max_len`; the first
+// `known` bytes are already known to agree.
+[[gnu::always_inline]] inline size_t MatchLength(const uint8_t* a,
+                                                const uint8_t* b, size_t known,
+                                                size_t max_len) {
+  size_t len = known;
+  while (len + 8 <= max_len) {
+    const uint64_t diff = Load64(a + len) ^ Load64(b + len);
+    if (diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + static_cast<size_t>(std::countr_zero(diff)) / 8;
+      } else {
+        return len + static_cast<size_t>(std::countl_zero(diff)) / 8;
+      }
+    }
+    len += 8;
+  }
+  while (len < max_len && a[len] == b[len]) {
+    ++len;
+  }
+  return len;
+}
+
+// One item of the parse: a literal (len 0) or a back-reference.
+struct LzItem {
+  size_t len = 0;
+  size_t offset = 0;
+};
+
+// A parser's hash chains: head[h], the latest inserted position whose
+// first four bytes hash to h, then prev[p % kWindowSize], the position
+// before p in p's chain; -1 ends a chain. The entry type Pos is int32_t
+// below 2 GiB, which halves the table, and int64_t above.
+constexpr size_t kChainEntries = kHashBuckets + kWindowSize;
+
+// The greedy parse, defined once for LzCompress and LzCompressedSize.
+//
+// Next(p) decides the item at parse point p: the longest match among the
+// first kMaxChainProbes candidates of p's chain that lie inside the window
+// (the most recent wins a tie), or a literal when none reaches kMinMatch.
+// It then inserts the positions the item covers. A parse inserts every
+// position it passes, so when p is searched the chains hold every position
+// before p whatever the items were, and the search reads only entries
+// inside p's window. The item at p is therefore a function of the bytes
+// alone: a parser whose chains hold the kWindowSize positions before p
+// decides p exactly as the serial parse does, wherever it started.
+template <typename Pos>
+class LzParser {
+ public:
+  // `chains` holds kChainEntries entries.
+  LzParser(ByteSpan input, Pos* chains)
+      : data_(input.data()),
+        n_(input.size()),
+        head_(chains),
+        prev_(chains + kHashBuckets) {}
+
+  // Empties every chain.
+  void Reset() { std::fill(head_, head_ + kChainEntries, Pos{-1}); }
+
+  // Inserts positions [begin, end). After a gap, entries left from before
+  // it are older than the window of any later search, so they only end a
+  // chain walk, as -1 does.
+  void Insert(size_t begin, size_t end) {
+    for (size_t p = begin; p < end && p + kMinMatch <= n_; ++p) {
+      Link(p, HashTriple(data_ + p));
+    }
+  }
+
+  [[gnu::always_inline]] LzItem Next(size_t pos) {
+    LzItem best;
+    if (pos + kMinMatch > n_) {
+      return best;
+    }
+    const uint32_t h = HashTriple(data_ + pos);
+    // A literal is followed by a search at pos + 1: start loading its chain
+    // head while this chain is walked.
+    if (pos + kMinMatch < n_) {
+      __builtin_prefetch(head_ + HashTriple(data_ + pos + 1));
+    }
+    const uint8_t* here = data_ + pos;
+    const uint32_t prefix = Load32(here);
+    const size_t max_len = std::min(n_ - pos, kMaxMatch);
+    Pos cand = head_[h];
+    for (int probes = 0; cand >= 0 && probes < kMaxChainProbes; ++probes) {
+      const size_t cpos = static_cast<size_t>(cand);
+      if (pos - cpos >= kWindowSize) {
+        break;
+      }
+      const uint8_t* there = data_ + cpos;
+      // A candidate can only beat the best if its first four bytes agree
+      // (a hash collision fails here) and it agrees at the best length.
+      if (Load32(there) == prefix &&
+          (best.len == 0 || there[best.len] == here[best.len])) {
+        const size_t len = MatchLength(there, here, kMinMatch, max_len);
+        if (len > best.len) {
+          best = {len, pos - cpos};
+          if (len == max_len) {
+            break;  // nothing later can be longer
+          }
+        }
+      }
+      const Pos next = prev_[cpos % kWindowSize];
+      // Chains can alias across window generations; guard monotonicity.
+      if (next >= cand) {
+        break;
+      }
+      cand = next;
+    }
+    Link(pos, h);
+    if (best.len > 0) {
+      Insert(pos + 1, pos + best.len);
+    }
+    return best;
+  }
+
+ private:
+  void Link(size_t p, uint32_t h) {
+    prev_[p % kWindowSize] = head_[h];
+    head_[h] = static_cast<Pos>(p);
+  }
+
+  const uint8_t* data_;
+  size_t n_;
+  Pos* head_;
+  Pos* prev_;
+};
+
+// Chains for `sets` parsers in one allocation, left uninitialized: each
+// parser resets its own chains before use, on its own runner.
+template <typename Pos>
+class LzChainTables {
+ public:
+  explicit LzChainTables(size_t sets)
+      : storage_(new Pos[sets * kChainEntries]) {}
+  Pos* operator[](size_t i) const { return storage_.get() + i * kChainEntries; }
+
+ private:
+  std::unique_ptr<Pos[]> storage_;
+};
+
+// Runs fn with the chain entry type that holds every position of `input`.
+template <typename Fn>
+auto WithChainEntry(ByteSpan input, const Fn& fn) {
+  if (input.size() < (size_t{1} << 31)) {
+    return fn(int32_t{});
+  }
+  return fn(int64_t{});
+}
+
+template <typename Pos>
+Bytes Compress(ByteSpan input) {
   Bytes out;
   out.reserve(input.size() / 2 + 16);
   PutU32(out, kMagic);
@@ -77,13 +243,10 @@ Bytes LzCompress(ByteSpan input) {
 
   const uint8_t* data = input.data();
   const size_t n = input.size();
+  LzChainTables<Pos> tables(1);
+  LzParser<Pos> parser(input, tables[0]);
+  parser.Reset();
 
-  // head[h] = most recent position with hash h; prev[i % window] = previous
-  // position in the same chain.
-  std::vector<int64_t> head(kHashBuckets, -1);
-  std::vector<int64_t> prev(kWindowSize, -1);
-
-  size_t pos = 0;
   size_t flag_index = 0;
   uint8_t flags = 0;
   int item_count = 0;
@@ -136,80 +299,159 @@ Bytes LzCompress(ByteSpan input) {
     }
   };
 
-  auto insert_pos = [&](size_t p) {
-    if (p + kMinMatch <= n && p + 4 <= n) {
-      const uint32_t h = HashTriple(data + p) % kHashBuckets;
-      prev[p % kWindowSize] = head[h];
-      head[h] = static_cast<int64_t>(p);
-    }
-  };
-
   size_t literal_start = 0;
-  while (pos < n) {
-    size_t best_len = 0;
-    size_t best_offset = 0;
-
-    if (pos + kMinMatch <= n && pos + 4 <= n) {
-      const uint32_t h = HashTriple(data + pos) % kHashBuckets;
-      int64_t cand = head[h];
-      int probes = 0;
-      while (cand >= 0 && probes < kMaxChainProbes) {
-        const size_t cpos = static_cast<size_t>(cand);
-        if (pos - cpos > kWindowSize - 1) {
-          break;
-        }
-        size_t len = 0;
-        const size_t max_len =
-            (n - pos) < kMaxMatch ? (n - pos) : kMaxMatch;
-        while (len < max_len && data[cpos + len] == data[pos + len]) {
-          ++len;
-        }
-        if (len >= kMinMatch && len > best_len) {
-          best_len = len;
-          best_offset = pos - cpos;
-          if (len == kMaxMatch) {
-            break;
-          }
-        }
-        const int64_t next = prev[cpos % kWindowSize];
-        // Chains can alias across window generations; guard monotonicity.
-        if (next >= cand) {
-          break;
-        }
-        cand = next;
-        ++probes;
-      }
-    }
-
-    if (best_len >= kMinMatch) {
-      emit_literal_run(literal_start, pos - literal_start);
-      open_group();
-      flags |= static_cast<uint8_t>(1 << item_count);
-      group[group_len++] = static_cast<uint8_t>(best_offset);
-      group[group_len++] = static_cast<uint8_t>(best_offset >> 8);
-      group[group_len++] = static_cast<uint8_t>(best_len - kMinMatch);
-      ++item_count;
-      if (item_count == 8) {
-        flush_group();
-      }
-      for (size_t k = 0; k < best_len; ++k) {
-        insert_pos(pos + k);
-      }
-      pos += best_len;
-      literal_start = pos;
-    } else {
-      insert_pos(pos);
+  for (size_t pos = 0; pos < n;) {
+    const LzItem item = parser.Next(pos);
+    if (item.len == 0) {
       ++pos;
+      continue;
     }
+    emit_literal_run(literal_start, pos - literal_start);
+    open_group();
+    flags |= static_cast<uint8_t>(1 << item_count);
+    group[group_len++] = static_cast<uint8_t>(item.offset);
+    group[group_len++] = static_cast<uint8_t>(item.offset >> 8);
+    group[group_len++] = static_cast<uint8_t>(item.len - kMinMatch);
+    ++item_count;
+    if (item_count == 8) {
+      flush_group();
+    }
+    pos += item.len;
+    literal_start = pos;
   }
   emit_literal_run(literal_start, n - literal_start);
   flush_group();
   return out;
 }
 
-namespace {
+// ----- the stitched, segment-parallel size count -----
 
-constexpr size_t kStreamHeaderBytes = 4 + 8;  // magic + raw size
+// The parse counted as L literals and M matches: FLZ1 spends one byte per
+// literal, three per match and one flag byte per group of eight items
+// (the 9-byte literal packs are such groups), after the 12-byte header.
+uint64_t StreamSize(uint64_t literals, uint64_t matches) {
+  return kStreamHeaderBytes + literals + 3 * matches +
+         (literals + matches + 7) / 8;
+}
+
+// Counts the item at `pos` and returns the next parse point.
+template <typename Pos>
+[[gnu::always_inline]] inline size_t CountNext(LzParser<Pos>& parser,
+                                               size_t pos, uint64_t& literals,
+                                               uint64_t& matches) {
+  const size_t len = parser.Next(pos).len;
+  if (len == 0) {
+    ++literals;
+    return pos + 1;
+  }
+  ++matches;
+  return pos + len;
+}
+
+// A parse point and the items a parse counted before it.
+struct LzPoint {
+  uint64_t pos;
+  uint64_t literals;
+  uint64_t matches;
+};
+
+// What a runner's parse of its segment left: where it exited (the first
+// parse point at or past the segment's end), its counts, and how many of
+// its points it recorded.
+struct LzSegmentParse {
+  uint64_t exit;
+  uint64_t literals;
+  uint64_t matches;
+  uint64_t recorded;
+};
+
+// Parses [begin, end) from `begin` on chains rebuilt from the window
+// before it, recording up to `capacity` points in `record`. The cursor and
+// counters stay in locals until the parse ends.
+template <typename Pos>
+LzSegmentParse ParseSegment(ByteSpan input, Pos* chains, size_t begin,
+                            size_t end, LzPoint* record, size_t capacity) {
+  LzParser<Pos> parser(input, chains);
+  parser.Reset();
+  parser.Insert(begin - std::min(begin, kWindowSize), begin);
+  uint64_t literals = 0;
+  uint64_t matches = 0;
+  size_t recorded = 0;
+  size_t pos = begin;
+  while (pos < end) {
+    if (recorded < capacity) {
+      record[recorded++] = {pos, literals, matches};
+    }
+    pos = CountNext(parser, pos, literals, matches);
+  }
+  return {pos, literals, matches, recorded};
+}
+
+// Counts the serial parse of `input` on `runners` runners of `pool`. Each
+// runner parses one segment from its start as if a parse point were there,
+// which it need not be. The caller then walks the true parse segment by
+// segment: it enters each at the previous segment's exit, and from the
+// first point the runner's parse also visited the two parses coincide (the
+// item at a point depends only on the bytes), so the runner's counts from
+// that point on are the serial parse's. Until they meet, the caller steps
+// the true parse on its own chains.
+template <typename Pos>
+uint64_t CountSplit(ByteSpan input, ThreadPool* pool, size_t runners) {
+  const size_t n = input.size();
+  LzChainTables<Pos> tables(runners + 1);  // the last set is the stitcher's
+  std::unique_ptr<LzPoint[]> records(
+      new LzPoint[runners * kLzStitchRecordPoints]);
+  std::vector<LzSegmentParse> segments(runners);
+  auto bound = [&](size_t r) { return r * n / runners; };
+  pool->ParallelForChunked(runners, [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      segments[r] = ParseSegment(input, tables[r], bound(r), bound(r + 1),
+                                 records.get() + r * kLzStitchRecordPoints,
+                                 kLzStitchRecordPoints);
+    }
+  });
+
+  LzParser<Pos> parser(input, tables[runners]);
+  bool chains_reset = false;
+  size_t inserted = 0;  // the stitcher's chains hold the window before this
+  uint64_t literals = 0;
+  uint64_t matches = 0;
+  size_t pos = 0;
+  for (size_t r = 0; r < runners; ++r) {
+    const LzSegmentParse& segment = segments[r];
+    const LzPoint* record = records.get() + r * kLzStitchRecordPoints;
+    size_t i = 0;
+    while (pos < bound(r + 1)) {
+      while (i < segment.recorded && record[i].pos < pos) {
+        ++i;
+      }
+      if (i < segment.recorded && record[i].pos == pos) {
+        literals += segment.literals - record[i].literals;
+        matches += segment.matches - record[i].matches;
+        pos = segment.exit;
+        break;
+      }
+      if (!chains_reset) {
+        parser.Reset();
+        chains_reset = true;
+      }
+      parser.Insert(std::max(inserted, pos - std::min(pos, kWindowSize)), pos);
+      pos = CountNext(parser, pos, literals, matches);
+      inserted = pos;
+    }
+  }
+  return StreamSize(literals, matches);
+}
+
+}  // namespace
+
+Bytes LzCompress(ByteSpan input) {
+  return WithChainEntry(input, [&](auto entry) {
+    return Compress<decltype(entry)>(input);
+  });
+}
+
+namespace {
 
 // Checks an FLZ1 stream's header as LzDecompress does before it sizes
 // anything, and returns the raw size the header claims.
@@ -292,7 +534,20 @@ Result<Bytes> LzDecompress(ByteSpan input) {
   return out;
 }
 
-uint64_t LzCompressedSize(ByteSpan input) { return LzCompress(input).size(); }
+uint64_t LzCompressedSize(ByteSpan input, ThreadPool* pool) {
+  const size_t runners =
+      pool == nullptr ? 1 : static_cast<size_t>(pool->size()) + 1;
+  return WithChainEntry(input, [&](auto entry) -> uint64_t {
+    using Pos = decltype(entry);
+    if (runners > 1 && input.size() >= kLzSplitMinBytes) {
+      return CountSplit<Pos>(input, pool, runners);
+    }
+    LzChainTables<Pos> tables(1);
+    const LzSegmentParse parse =
+        ParseSegment(input, tables[0], 0, input.size(), nullptr, 0);
+    return StreamSize(parse.literals, parse.matches);
+  });
+}
 
 // ----- chunked streams -----
 

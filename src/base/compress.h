@@ -62,8 +62,27 @@ Bytes LzCompress(ByteSpan input);
 // malformed input.
 Result<Bytes> LzDecompress(ByteSpan input);
 
-// Convenience: compressed size without keeping the output.
-uint64_t LzCompressedSize(ByteSpan input);
+// LzCompress(input).size(), counted without building the stream: the parse
+// is LzCompress's, and only its literals L and matches M are counted, which
+// fixes the size at 12 + L + 3M + ceil((L + M) / 8).
+//
+// With `pool`, an input of kLzSplitMinBytes or more is split into
+// pool->size() + 1 segments, one per runner. Each runner rebuilds the hash
+// chains from the 64 KiB before its segment, parses from the segment's
+// start and records its first kLzStitchRecordPoints parse points. The
+// caller then stitches the serial parse together: it enters each segment
+// where the previous one exited and, from the first point the runner also
+// visited, adds the runner's counts; until the two parses meet, or the
+// segment ends, it steps the parse on its own chains. The match found at a
+// point depends only on the bytes, so the size is identical with or
+// without a pool, whatever its width.
+uint64_t LzCompressedSize(ByteSpan input, ThreadPool* pool = nullptr);
+// Smaller inputs are counted inline: for them the pool's wake-up and each
+// runner's 64 KiB chain rebuild cost about what the split saves.
+inline constexpr size_t kLzSplitMinBytes = size_t{128} << 10;
+// Bounds each runner's record (and so the call's memory) whatever the
+// input size; real content's parses meet within a few points.
+inline constexpr size_t kLzStitchRecordPoints = 4096;
 
 // ----- chunked streams (pipelined migration) -----
 

@@ -1,7 +1,9 @@
 // Content hashing used by the filesystem (rsync-style sync), checkpoint
-// image integrity checks, and the content-addressed chunk store. FNV-1a is
-// used as a cheap stable content hash; CRC32 guards checkpoint image
-// sections; FluxHash128 keys chunk-cache entries and transfer manifests.
+// image integrity checks, and the content-addressed chunk store. FNV-1a
+// turns names into the seeds of generated content, so its values are
+// pinned; CRC32 guards checkpoint image sections; FluxHash128 keys
+// chunk-cache entries and transfer manifests, and its low lane
+// (FluxHash64) hashes file contents for the filesystem.
 #ifndef FLUX_SRC_BASE_HASH_H_
 #define FLUX_SRC_BASE_HASH_H_
 

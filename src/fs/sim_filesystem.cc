@@ -9,7 +9,7 @@ namespace flux {
 
 uint64_t Inode::ContentHash() const {
   if (!hash_valid_) {
-    hash_ = Fnv1a64(ByteSpan(content_.data(), content_.size()));
+    hash_ = FluxHash64(ByteSpan(content_.data(), content_.size()));
     hash_valid_ = true;
   }
   return hash_;

@@ -37,7 +37,9 @@ class Inode {
     hash_valid_ = false;
   }
 
-  // FNV-1a of the content; cached until the content changes.
+  // FluxHash64 of the content; cached until the content changes. Only
+  // compared for equality (sync up-to-date and link-dest checks, APK
+  // verification, TreeSize dedup), never serialized or printed.
   uint64_t ContentHash() const;
 
   int link_count() const { return link_count_; }

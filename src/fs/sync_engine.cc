@@ -2,6 +2,7 @@
 
 #include "src/base/compress.h"
 #include "src/base/strings.h"
+#include "src/base/thread_pool.h"
 
 namespace flux {
 
@@ -96,9 +97,12 @@ Result<SyncStats> SyncTree(const SimFilesystem& src,
 
     // Copy (transfer) the content.
     FLUX_ASSIGN_OR_RETURN(const Bytes* content, src.ReadFile(file.path));
+    // A large file's size is counted on the shared pool; the count equals
+    // the serial one (LzCompressedSize), so sharing changes no byte.
     const uint64_t wire =
         options.compress
-            ? LzCompressedSize(ByteSpan(content->data(), content->size()))
+            ? LzCompressedSize(ByteSpan(content->data(), content->size()),
+                               ThreadPool::Shared(ThreadPool::DefaultThreads()))
             : content->size();
     FLUX_RETURN_IF_ERROR(dst.WriteFile(dst_path, *content));
     ++stats.files_copied;

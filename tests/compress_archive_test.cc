@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -103,6 +106,165 @@ TEST(CompressTest, RawSizeTheBodyCannotEncodeRejected) {
   auto raw = LzDecompress(ByteSpan(stream.data(), stream.size()));
   ASSERT_FALSE(raw.ok());
   EXPECT_EQ(raw.status().code(), StatusCode::kCorrupt);
+}
+
+struct NamedInput {
+  std::string name;
+  Bytes bytes;
+};
+
+// Bytes repeating a random `period`-byte motif, with `flips` single-bit
+// flips at random positions.
+Bytes PeriodicWithFlips(uint64_t seed, size_t size, size_t period,
+                        int flips) {
+  Rng rng(seed);
+  Bytes motif(period);
+  for (uint8_t& b : motif) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  Bytes out(size);
+  for (size_t i = 0; i < size; ++i) {
+    out[i] = motif[i % period];
+  }
+  for (int k = 0; k < flips; ++k) {
+    out[rng.NextBelow(size)] ^= static_cast<uint8_t>(1u << rng.NextBelow(8));
+  }
+  return out;
+}
+
+// GenerateContent at four compressibilities and five sizes (around the
+// 4-byte minimum match and one past the 64 KiB window), a 3-symbol
+// alphabet whose hash chains run past the 16-probe cap, and periods 1, 7
+// and 259 (one past the longest match) with flipped bits.
+std::vector<NamedInput> PinnedInputs() {
+  std::vector<NamedInput> inputs;
+  uint64_t seed = 100;
+  for (const double compressibility : {0.0, 0.25, 0.6, 1.0}) {
+    for (const uint64_t size : {0, 3, 4, 65537, 1 << 20}) {
+      inputs.push_back({"compressibility " + std::to_string(compressibility) +
+                            ", " + std::to_string(size) + " B",
+                        GenerateContent(seed++, size, compressibility)});
+    }
+  }
+  Rng rng(7);
+  Bytes abc(300000);
+  for (uint8_t& b : abc) {
+    b = static_cast<uint8_t>('a' + rng.NextBelow(3));
+  }
+  inputs.push_back({"3-symbol alphabet", std::move(abc)});
+  for (const size_t period : {1, 7, 259}) {
+    inputs.push_back({"period " + std::to_string(period),
+                      PeriodicWithFlips(period, 200000, period, 40)});
+  }
+  return inputs;
+}
+
+TEST(CompressTest, OutputBytesArePinned) {
+  // Size and FluxHash128 of each pinned input's stream, recorded from the
+  // codec before its parse was shared with LzCompressedSize: any change to
+  // the parse or the framing moves one of them.
+  struct Pinned {
+    size_t size;
+    uint64_t lo;
+    uint64_t hi;
+  };
+  const Pinned kPinned[] = {
+      {12, 0x823e329508be8cf3ull, 0x1ecb566ad6eb64e8ull},  // 0, 0 B
+      {16, 0xa71fb5c410be811full, 0x3d8d6404cc4049eeull},  // 0, 3 B
+      {17, 0x0b4c7a13595e4a13ull, 0x95225b86d8dfd5f1ull},  // 0, 4 B
+      {73742, 0x2863282160b058ebull, 0x71322464b5031147ull},  // 0, 65537 B
+      {1179638, 0x05a31e0f44db65b4ull, 0xfb29235a9990f344ull},  // 0, 1048576 B
+      {12, 0x823e329508be8cf3ull, 0x1ecb566ad6eb64e8ull},  // 0.25, 0 B
+      {16, 0x832301c32c121287ull, 0x0982265099604aa0ull},  // 0.25, 3 B
+      {17, 0x687df7809f20548bull, 0xaeb17ab0e06e081bull},  // 0.25, 4 B
+      {56711, 0x6cdf73b5a2928ac2ull, 0x6d41057312c93b3aull},  // 0.25, 65537 B
+      {898748, 0xd19962758f97eab9ull, 0x8aff924dd662f053ull},  // 0.25, 1048576 B
+      {12, 0x823e329508be8cf3ull, 0x1ecb566ad6eb64e8ull},  // 0.6, 0 B
+      {16, 0x721dd615dcbcb114ull, 0x1922450e9d9f507cull},  // 0.6, 3 B
+      {17, 0x477b24d868f86824ull, 0xdeb50110286720cdull},  // 0.6, 4 B
+      {30564, 0x17bab25e72892eb0ull, 0xd605cfe51d274302ull},  // 0.6, 65537 B
+      {490387, 0xaa38f465d50acf41ull, 0x871f186cf84cb7daull},  // 0.6, 1048576 B
+      {12, 0x823e329508be8cf3ull, 0x1ecb566ad6eb64e8ull},  // 1, 0 B
+      {16, 0x151b414627d1860cull, 0x81d8acf048841c77ull},  // 1, 3 B
+      {17, 0x37596dabc29ce468ull, 0x07ab4c86ff8591abull},  // 1, 4 B
+      {3417, 0x9b759b19af5f9efeull, 0xd47a39efded9e883ull},  // 1, 65537 B
+      {55527, 0x4c915a57fcbe7960ull, 0xa4318991c90df630ull},  // 1, 1048576 B
+      {142766, 0x2cd0241dc1c3e76full, 0x9cd4214856f8ad10ull},  // 3-symbol alphabet
+      {2547, 0xd886c9326298111aull, 0xf18c7a7e9939b9e7ull},  // period 1
+      {2595, 0x4f8d1bf33bb014deull, 0xd70b51afd0d8f2e7ull},  // period 7
+      {2821, 0xd5aa900785c53538ull, 0x401e292101137b9aull},  // period 259
+  };
+  const std::vector<NamedInput> inputs = PinnedInputs();
+  ASSERT_EQ(inputs.size(), std::size(kPinned));
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const Bytes& input = inputs[i].bytes;
+    const Bytes out = LzCompress(ByteSpan(input.data(), input.size()));
+    const Hash128 digest = FluxHash128(ByteSpan(out.data(), out.size()));
+    EXPECT_EQ(out.size(), kPinned[i].size) << inputs[i].name;
+    EXPECT_EQ(digest.lo, kPinned[i].lo) << inputs[i].name;
+    EXPECT_EQ(digest.hi, kPinned[i].hi) << inputs[i].name;
+  }
+}
+
+// Overwrites [begin, end) of `bytes` with a run: zeros, or a random
+// 259-byte motif (one longer than the longest match).
+void PutRun(Bytes& bytes, size_t begin, size_t end, bool zeros) {
+  const Bytes motif = PeriodicWithFlips(begin, 259, 259, 0);
+  for (size_t i = begin; i < end && i < bytes.size(); ++i) {
+    bytes[i] = zeros ? 0 : motif[(i - begin) % 259];
+  }
+}
+
+TEST(CompressTest, PooledSizeMatchesCompress) {
+  std::vector<NamedInput> inputs = PinnedInputs();
+  for (const size_t size : {kLzSplitMinBytes - 1, kLzSplitMinBytes + 1}) {
+    inputs.push_back({"split threshold n=" + std::to_string(size),
+                      GenerateContent(size, size, 0.25)});
+  }
+  const std::vector<int> widths = {1, 2, 4, 7};
+  // For each width, runs straddling every boundary of its segments, at a
+  // different phase per boundary, so that runner parses start out of step
+  // with the serial one.
+  for (const int width : widths) {
+    const size_t runners = static_cast<size_t>(width > 1 ? width : 0) + 1;
+    const size_t n = 2 * kLzSplitMinBytes + 12345;
+    for (const bool zeros : {true, false}) {
+      Bytes bytes = GenerateContent(width, n, 0.25);
+      for (size_t r = 1; r < runners; ++r) {
+        const size_t boundary = r * n / runners;
+        PutRun(bytes, boundary - 700 - 37 * r, boundary + 1500, zeros);
+      }
+      inputs.push_back({(zeros ? "zero runs, width " : "period-259 runs, width ") +
+                            std::to_string(width),
+                        std::move(bytes)});
+    }
+  }
+  // A zero run longer than a whole segment at every split width, and longer
+  // than the stitcher's record of a runner's parse points: where the stitch
+  // enters out of step, it walks past the record to the segment's end.
+  {
+    // A zero run's parse takes 259-byte steps, so this many bytes of it
+    // fill a runner's record.
+    const size_t record_span = 259 * kLzStitchRecordPoints;
+    const size_t n = 10 * record_span;
+    Bytes bytes = GenerateContent(8, n, 0.25);
+    PutRun(bytes, n / 16 + 100, n / 16 + 100 + 4 * record_span, true);
+    inputs.push_back({"zero run past the record", std::move(bytes)});
+  }
+
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const int width : widths) {
+    pools.push_back(std::make_unique<ThreadPool>(width));
+  }
+  for (const NamedInput& input : inputs) {
+    const ByteSpan span(input.bytes.data(), input.bytes.size());
+    const uint64_t expected = LzCompress(span).size();
+    EXPECT_EQ(LzCompressedSize(span), expected) << input.name;
+    for (size_t w = 0; w < widths.size(); ++w) {
+      EXPECT_EQ(LzCompressedSize(span, pools[w].get()), expected)
+          << input.name << " on a pool of width " << widths[w];
+    }
+  }
 }
 
 // Property sweep: round-trip across sizes and compressibilities.
