@@ -43,8 +43,9 @@ SimDuration CpuCost(const Device& device, uint64_t bytes, double mbps) {
 // One chunk's CPU stage costs in the chunk pipeline. `kind` is how the
 // chunk travels: kLz (compressed), kStored (incompressible: the compress
 // attempt ran, the decode is a plain copy) or kRef (a cache reference: no
-// codec on either side). A `prewarmed` chunk was serialized and applied on
-// the guest during the pre-copy rounds, so both endpoints skip it.
+// codec on either side). `serialize` and `restore` say whether each
+// endpoint still works on it: a chunk the pre-copy rounds warmed skips
+// both, and a round's chunk is only cached on the guest, never applied.
 struct ChunkCpuCosts {
   SimDuration serialize = 0;
   SimDuration compress = 0;
@@ -53,9 +54,9 @@ struct ChunkCpuCosts {
 };
 
 ChunkCpuCosts ChunkCosts(const Device& home, const Device& guest, uint64_t raw,
-                         LzChunkKind kind, bool prewarmed) {
+                         LzChunkKind kind, bool serialize, bool restore) {
   ChunkCpuCosts c;
-  c.serialize = prewarmed ? 0 : CpuCost(home, raw, kSerializeMbps);
+  c.serialize = serialize ? CpuCost(home, raw, kSerializeMbps) : 0;
   // The compress stage fans out over the device's cores (quad-core
   // baseline), which is what the host thread pool mirrors in wall time.
   c.compress = kind != LzChunkKind::kRef
@@ -63,20 +64,13 @@ ChunkCpuCosts ChunkCosts(const Device& home, const Device& guest, uint64_t raw,
                    : 0;
   c.decompress =
       kind == LzChunkKind::kLz ? CpuCost(guest, raw, kDecompressMbps) : 0;
-  c.restore = prewarmed ? 0 : CpuCost(guest, raw, kRestoreMbps);
+  c.restore = restore ? CpuCost(guest, raw, kRestoreMbps) : 0;
   return c;
 }
 
-// Wire-stage cost of the chunk at position `i` in a stream: its transfer
-// time, with the link latency charged once for the whole stream (chunk 0).
-SimDuration ChunkWireCost(const WifiNetwork& wifi, const EffectiveLink& link,
-                          uint64_t wire_bytes, size_t i) {
-  SimDuration cost = wifi.TransferTime(wire_bytes, link) - link.latency;
-  if (i == 0) {
-    cost += link.latency;
-  }
-  return cost;
-}
+// The cost model's pipeline stages, in order.
+constexpr size_t kCompressStage = 1;
+constexpr size_t kWireStage = 2;
 
 // The write load of a prepared-but-still-running app during the pre-copy
 // window (DESIGN.md §10): deterministic page-granular heap writes at the
@@ -317,9 +311,9 @@ Result<MigrationManager::PlannedCut> MigrationManager::CutAndPlan(
   return cut;
 }
 
-Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
-                                             MigrationReport& report,
-                                             PlannedCut* planned) {
+Result<MigrationManager::PlannedCut> MigrationManager::BuildPayload(
+    const RunningApp& app, MigrationReport& report,
+    std::optional<PlannedCut> planned) {
   Device& device = *app.device;
   ScopedTimer timer(device.clock(), report.checkpoint);
 
@@ -330,10 +324,8 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     return FailedPrecondition("app is not managed by the home Flux agent");
   }
 
-  PlannedCut fresh;
-  if (planned == nullptr) {
-    FLUX_ASSIGN_OR_RETURN(fresh, CutAndPlan(app));
-    planned = &fresh;
+  if (!planned.has_value()) {
+    FLUX_ASSIGN_OR_RETURN(planned, CutAndPlan(app));
   }
   CriaCheckpointResult& cria = planned->cria;
   report.cria = cria.stats;
@@ -396,15 +388,11 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
         home_cache.Insert(planned->hashes[i],
                           ByteSpan(image_span.data() + begin, len));
       }
-      // The resume handshake re-offers exactly this manifest.
-      payload_chunk_hashes_ = std::move(planned->hashes);
     }
-    if (config_.resume) {
-      // Chunk-granular delivery needs the raw chunks at transfer time: the
-      // guest caches each as its wire window closes.
-      resume_raw_image_ = std::move(cria.image);
-    } else {
-      Bytes().swap(cria.image);  // the streams carry the content now
+    if (!config_.resume) {
+      // The streams carry the content now. Resume keeps the raw chunks for
+      // transfer time: the guest caches each as its wire window closes.
+      Bytes().swap(cria.image);
     }
     stats.chunk_count = static_cast<uint32_t>(streams.chunks.size());
     stats.chunk_kind = streams.kinds;
@@ -427,7 +415,8 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
         streams, [&payload](ByteSpan part) { payload.AppendRaw(part); },
         /*release_chunks=*/true);
     payload.EndBytes(token);
-    return payload.TakeData();
+    planned->payload = payload.TakeData();
+    return std::move(*planned);
   }
 
   if (config_.compress_image) {
@@ -451,12 +440,13 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     report.image_compressed_bytes = report.image_raw_bytes;
     Bytes().swap(cria.image);
   }
-  return payload.TakeData();
+  planned->payload = payload.TakeData();
+  return std::move(*planned);
 }
 
-Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
-                                                    const AppSpec& spec,
-                                                    MigrationReport& report) {
+Result<MigrationManager::PlannedCut> MigrationManager::BuildPayloadPrecopy(
+    const RunningApp& app, const AppSpec& spec, LinkShaper* shaper,
+    MigrationReport& report) {
   Device& device = *app.device;
   Device& guest_device = guest_.device();
   SimClock& clock = device.clock();
@@ -480,12 +470,8 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     ~MutatorReset() { mutator = nullptr; }
   } mutator_reset{precopy_mutator_};
 
-  // Hostile profile: round traffic is charged framed (Charged(): arithmetic
-  // — the per-frame codec runs only in the stop-and-copy); clean leaves
-  // every byte count identical.
   const EffectiveLink link = wifi.LinkBetween(device.profile().radio,
                                               guest_device.profile().radio);
-  ChunkCache& guest_cache = guest_.chunk_cache();
   ChunkCache& home_cache = home_.chunk_cache();
 
   uint64_t pending_prev = 0; // pending raw bytes at the previous cut
@@ -518,17 +504,14 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     const uint64_t epoch = Cria::BeginDirtyEpoch(device, pids);
     FLUX_ASSIGN_OR_RETURN(PlannedCut cut, CutAndPlan(app));
     const LzChunkStreams& streams = cut.streams;
-    // What chunk i costs on the wire: pending chunks are compressed or
-    // stored, never refs.
-    auto wire_of = [&](size_t i) {
-      return Charged(streams.chunks[i].size());
-    };
     r.chunk_count = static_cast<uint32_t>(cut.hashes.size());
     std::vector<size_t> pending;
+    uint64_t pending_wire = 0;  // pending chunks are compressed or stored
     for (size_t i = 0; i < cut.hashes.size(); ++i) {
       if (cut.cached[i] == 0) {
         pending.push_back(i);
         r.pending_raw_bytes += streams.RawChunkSize(i);
+        pending_wire += Charged(streams.chunks[i].size());
       }
     }
     r.pending_chunks = static_cast<uint32_t>(pending.size());
@@ -537,10 +520,6 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     // Bandwidth-aware termination: what would freezing at this cut cost?
     // The pending chunks pay the full serialize → wire → restore path in
     // the stop-and-copy; everything else rides the cache as refs.
-    uint64_t pending_wire = 0;
-    for (const size_t i : pending) {
-      pending_wire += wire_of(i);
-    }
     r.est_stop_copy = CpuCost(device, r.pending_raw_bytes, kSerializeMbps) +
                       wifi.TransferTime(pending_wire, link) +
                       CpuCost(guest_device, r.pending_raw_bytes, kRestoreMbps);
@@ -570,69 +549,33 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
 
     // Stream the missing chunks, warming both caches for the final
     // stop-and-copy's dedup pass. Round 0 streams the whole image; later
-    // rounds only the chunks the writes actually changed.
+    // rounds only the chunks the writes actually changed. The home caches
+    // what it sends; the guest caches each chunk as its wire window
+    // closes, and only applies it in the stop-and-copy. The app keeps
+    // mutating while the stream walks the clock — that is the race
+    // pre-copy iterates against.
     const ByteSpan image_span(cut.cria.image.data(), cut.cria.image.size());
-    auto chunk_of = [&](size_t i) {
-      return image_span.subspan(uint64_t{i} * kMigrationChunkBytes,
-                                streams.RawChunkSize(i));
-    };
+    ChunkStream stream{wifi, link, cut.hashes,
+                       "network lost during pre-copy round"};
+    stream.chunks.reserve(pending.size());
     for (const size_t i : pending) {
-      home_cache.Insert(cut.hashes[i], chunk_of(i));
-      if (!config_.resume) {
-        // Resume mode defers the guest insert to each chunk's wire finish
-        // below — chunk-granular delivery is what a mid-round outage
-        // resumes against.
-        guest_cache.Insert(cut.hashes[i], chunk_of(i));
-      }
-      r.raw_bytes_sent += streams.RawChunkSize(i);
-      r.wire_bytes += wire_of(i);
+      StreamChunk& c = stream.chunks.emplace_back();
+      c.raw_bytes = streams.RawChunkSize(i);
+      c.kind = streams.KindOf(i);
+      c.wire = ByteSpan(streams.chunks[i].data(), streams.chunks[i].size());
+      c.restore = false;
+      c.key = cut.hashes[i];
+      c.raw = image_span.subspan(uint64_t{i} * kMigrationChunkBytes,
+                                 c.raw_bytes);
+      home_cache.Insert(c.key, c.raw);
+      r.raw_bytes_sent += c.raw_bytes;
     }
     r.chunks_sent = static_cast<uint32_t>(pending.size());
-
-    // Pace the simulated clock along a serialize → compress → wire →
-    // decompress schedule (no restore stage: the guest only caches). The
-    // app keeps mutating while this advances — that is the race pre-copy
-    // iterates against.
-    std::vector<PipelineStageModel> stages(4);
-    stages[0].name = "serialize";
-    stages[1].name = "compress";
-    stages[2].name = "wire";
-    stages[3].name = "decompress";
-    for (size_t k = 0; k < pending.size(); ++k) {
-      const size_t i = pending[k];
-      // Pending chunks are guest-cache misses: never refs, and stored
-      // exactly when compression did not shrink them.
-      const ChunkCpuCosts cost =
-          ChunkCosts(device, guest_device, streams.RawChunkSize(i),
-                     streams.KindOf(i), /*prewarmed=*/false);
-      stages[0].chunk_cost.push_back(cost.serialize);
-      stages[1].chunk_cost.push_back(cost.compress);
-      stages[2].chunk_cost.push_back(
-          ChunkWireCost(wifi, link, wire_of(i), k));
-      stages[3].chunk_cost.push_back(cost.decompress);
-    }
-    const PipelinePlan plan = SchedulePipeline(stages);
-    if (!config_.resume) {
-      if (!AdvanceWithTicks(t0 + plan.makespan, &wifi)) {
-        return Unavailable("network lost during pre-copy round");
-      }
-    } else {
-      // Chunk-granular round pacing: advance to each chunk's wire-stage
-      // finish, deliver it into the guest cache, and ride out outages
-      // with the resume handshake — the round continues where it stopped
-      // instead of aborting the migration.
-      constexpr size_t kWireStage = 2;
-      ResumableStream stream{wifi, link, cut.hashes,
-                             "network lost during pre-copy round"};
-      for (size_t k = 0; k < pending.size(); ++k) {
-        const size_t i = pending[k];
-        FLUX_RETURN_IF_ERROR(AdvanceStream(
-            stream, t0 + plan.finish[kWireStage][k], wire_of(i), report));
-        guest_cache.Insert(cut.hashes[i], chunk_of(i));
-      }
-      AdvanceWithTicks(t0 + plan.makespan + stream.extra);
-      r.wire_bytes += stream.extra_wire;
-    }
+    ScheduleChunks(stream, /*wire_offset=*/0);
+    FLUX_RETURN_IF_ERROR(StreamChunks(stream, t0, shaper, report));
+    // The round ends when the guest has decoded its last chunk.
+    AdvanceWithTicks(t0 + stream.plan.makespan + stream.extra);
+    r.wire_bytes = stream.wire_bytes + stream.extra_wire;
     wifi.AccountTraffic(r.wire_bytes);
     pre.wire_bytes += r.wire_bytes;
     r.interval.end = clock.now();
@@ -667,7 +610,7 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
   // dirtied since the cut's epoch opened, the image is stale — re-cut
   // instead of silently dropping the bytes. The mutator is off, so the
   // loop terminates as soon as the racing writer goes quiet.
-  Bytes payload;
+  PlannedCut shipped;
   for (int cut = 0;; ++cut) {
     const bool reuse = cut == 0 && final_cut.has_value();
     const uint64_t epoch =
@@ -675,7 +618,8 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     report.pipeline = PipelineStats{};
     report.dedup = DedupStats{};
     FLUX_ASSIGN_OR_RETURN(
-        payload, BuildPayload(app, report, reuse ? &*final_cut : nullptr));
+        shipped, BuildPayload(app, report,
+                              reuse ? std::move(final_cut) : std::nullopt));
     if (cut == 0 && config_.precopy_after_final_cut) {
       config_.precopy_after_final_cut();
     }
@@ -706,7 +650,7 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     }
   }
   FLUX_TRACE_COUNT(config_.trace, trace_names::kPrecopyChunksResent, resent);
-  return payload;
+  return shipped;
 }
 
 Result<AppDataSync> MigrationManager::SyncAppData(const RunningApp& app,
@@ -773,7 +717,7 @@ bool MigrationManager::AdvanceWithTicks(SimTime target, WifiNetwork* watch) {
   return watch == nullptr || watch->UpAt(clock.now());
 }
 
-Status MigrationManager::AdvanceStream(ResumableStream& stream, SimTime target,
+Status MigrationManager::AdvanceStream(ChunkStream& stream, SimTime target,
                                        uint64_t resend_wire,
                                        MigrationReport& report) {
   SimClock& clock = home_.device().clock();
@@ -885,23 +829,125 @@ Status MigrationManager::Transfer(const RunningApp& app, const AppSpec& spec,
   return OkStatus();
 }
 
-Status MigrationManager::TransferPipelined(const RunningApp& app,
-                                           const AppSpec& spec,
-                                           ByteSpan payload,
-                                           MigrationReport& report) {
+void MigrationManager::ScheduleChunks(ChunkStream& stream,
+                                      SimDuration wire_offset) const {
+  for (const char* name :
+       {"serialize", "compress", "wire", "decompress", "restore"}) {
+    stream.stages.push_back({name, {}, 0});
+    stream.stages.back().chunk_cost.reserve(stream.chunks.size());
+  }
+  std::vector<PipelineStageModel>& stages = stream.stages;
+  for (size_t i = 0; i < stream.chunks.size(); ++i) {
+    const StreamChunk& c = stream.chunks[i];
+    const ChunkCpuCosts cost =
+        ChunkCosts(home_.device(), guest_.device(), c.raw_bytes, c.kind,
+                   c.serialize, c.restore);
+    stages[0].chunk_cost.push_back(cost.serialize);
+    stages[1].chunk_cost.push_back(cost.compress);
+    // Transfer time, with the link latency charged once for the whole
+    // stream (chunk 0); a deferred chunk costs the foreground wire nothing.
+    stages[2].chunk_cost.push_back(
+        c.wire.empty()
+            ? 0
+            : stream.wifi.TransferTime(Charged(c.wire.size()), stream.link) -
+                  (i == 0 ? 0 : stream.link.latency));
+    stages[3].chunk_cost.push_back(cost.decompress);
+    stages[4].chunk_cost.push_back(cost.restore);
+  }
+  stages[kWireStage].initial_offset = wire_offset;
+  stream.plan = SchedulePipeline(stages);
+}
+
+Status MigrationManager::StreamChunks(ChunkStream& stream, SimTime t0,
+                                      LinkShaper* shaper,
+                                      MigrationReport& report) {
+  WifiNetwork& wifi = stream.wifi;
+  const EffectiveLink& link = stream.link;
+  // Advance to each wire-stage finish, watching for outages at every tick
+  // boundary. Without resume an outage aborts the stream; with it, the
+  // stream rides the outage out and the rest of the schedule shifts by
+  // `stream.extra`. A shaped link also runs the frame codec per chunk,
+  // adding its retransmissions, jitter and rate dips.
+  FLUX_RETURN_IF_ERROR(AdvanceStream(
+      stream, t0 + stream.stages[kWireStage].initial_offset + link.latency,
+      /*resend_wire=*/0, report));
+  FrameWireStats& fw = report.frame_wire;
+  fw.enabled = shaper != nullptr;
+  uint32_t next_seq = 0;
+  uint32_t next_group = 0;
+  for (size_t i = 0; i < stream.chunks.size(); ++i) {
+    const StreamChunk& c = stream.chunks[i];
+    if (c.wire.empty()) {
+      continue;  // deferred: never on the foreground wire
+    }
+    uint64_t in_flight = Charged(c.wire.size());
+    stream.wire_bytes += in_flight;
+    if (shaper != nullptr) {
+      // The real codec over this chunk's bytes: encode, lose, CRC-reject
+      // corrupt arrivals, FEC-reconstruct, retransmit — and the reassembly
+      // is checked byte-for-byte against what was sent.
+      FLUX_ASSIGN_OR_RETURN(
+          const ChunkTransmission tx,
+          TransmitFramedChunk(c.wire, *shaper, frame_options_, next_seq,
+                              next_group, &home_.device().flight_recorder()));
+      next_seq = tx.next_seq;
+      next_group = tx.next_group;
+      fw.frames_sent += tx.frames_sent;
+      fw.data_frames += tx.data_frames;
+      fw.parity_frames += tx.parity_frames;
+      fw.frames_lost += tx.frames_lost;
+      fw.crc_errors += tx.crc_errors;
+      fw.frames_recovered += tx.frames_recovered;
+      fw.frames_retransmitted += tx.frames_retransmitted;
+      fw.wire_bytes += tx.wire_bytes;
+      fw.lost_bytes += tx.lost_bytes;
+      fw.retransmit_bytes += tx.retransmit_bytes;
+      stream.extra_wire += tx.retransmit_bytes;
+      in_flight = tx.wire_bytes;
+      // Time beyond the loss-free framed plan: retransmission rounds, this
+      // chunk's jitter draw, and a rate dip stretching its window.
+      SimDuration chunk_extra = shaper->NextJitter();
+      if (tx.retransmit_bytes > 0) {
+        chunk_extra +=
+            wifi.TransferTime(tx.retransmit_bytes, link) - link.latency;
+      }
+      const double dip = shaper->NextRateFactor();
+      if (dip < 1.0) {
+        const SimDuration base =
+            wifi.TransferTime(tx.wire_bytes, link) - link.latency;
+        chunk_extra += FromSecondsF(ToSecondsF(base) * (1.0 / dip - 1.0));
+      }
+      stream.extra += chunk_extra;
+    }
+    FLUX_RETURN_IF_ERROR(AdvanceStream(
+        stream, t0 + stream.plan.finish[kWireStage][i], in_flight, report));
+    if (!c.raw.empty()) {
+      // Chunk-granular delivery: a resume ack, and what a lost stream
+      // leaves cached, cover exactly the chunks whose windows closed.
+      guest_.chunk_cache().Insert(c.key, c.raw);
+    }
+  }
+  return OkStatus();
+}
+
+Result<SimTime> MigrationManager::TransferPipelined(const RunningApp& app,
+                                                    const AppSpec& spec,
+                                                    PlannedCut& cut,
+                                                    LinkShaper* shaper,
+                                                    MigrationReport& report) {
   Device& home_device = *app.device;
   Device& guest_device = guest_.device();
   SimClock& clock = home_device.clock();
   WifiNetwork& wifi = home_device.wifi();
   PipelineStats& stats = report.pipeline;
-  const uint64_t payload_bytes = payload.size();
+  const ByteSpan payload(cut.payload.data(), cut.payload.size());
 
   // Hostile-network path (DESIGN.md §13): a non-clean profile frames every
   // wire byte and runs the real frame codec per chunk; resume additionally
   // rides out recoverable outages. Both off (the default) leaves this
   // function byte-identical to the baseline schedule — Charged() is the
-  // identity and the shaper never runs.
-  const bool shaped = !config_.net_profile.IsClean();
+  // identity and there is no shaper.
+  const bool shaped = shaper != nullptr;
   if (config_.resume) {
     report.resume.enabled = true;
   }
@@ -940,7 +986,10 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   }
   // Payload bytes outside the image container (magic, package name, hw +
   // log sections) ship with the data sync, ahead of the chunk stream.
-  const uint64_t prefix_payload = payload_bytes - container_bytes;
+  if (payload.size() < container_bytes) {
+    return Corrupt("payload is shorter than its image container");
+  }
+  const uint64_t prefix_payload = payload.size() - container_bytes;
 
   // Post-copy composition: only the priority prefix of chunks streams in
   // the foreground; deferred chunks cost nothing on the foreground wire
@@ -953,62 +1002,44 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
         1, static_cast<size_t>(
                std::ceil(static_cast<double>(count) * fraction)));
     foreground_chunks = std::min(foreground_chunks, count);
-    for (size_t i = foreground_chunks; i < count; ++i) {
-      report.deferred_bytes += Charged(stats.chunk_wire_bytes[i]);
-    }
   }
-  // The manifest handshake (hashes out, availability bitmap back) is real
-  // wire traffic even though its latency mostly hides under the data sync.
-  // Under a profile every component is charged framed: chunks per chunk,
-  // the non-image prefix as one stream, and the manifest as two control
-  // frames (kManifest + kManifestAck).
-  uint64_t container_charged = 0;
-  for (const uint64_t wire : stats.chunk_wire_bytes) {
-    container_charged += Charged(wire);
-  }
-  const uint64_t manifest_charged =
-      report.dedup.manifest_wire_bytes +
-      (shaped && report.dedup.enabled ? 2 * kFrameHeaderSize : 0);
-  const uint64_t foreground_wire = report.data_sync_bytes +
-                                   Charged(prefix_payload) + container_charged -
-                                   report.deferred_bytes + manifest_charged;
 
-  // Per-chunk stage costs from the shared cost model.
-  std::vector<PipelineStageModel> stages(5);
-  stages[0].name = "serialize";
-  stages[1].name = "compress";
-  stages[2].name = "wire";
-  stages[3].name = "decompress";
-  stages[4].name = "restore";
-  for (auto& stage : stages) {
-    stage.chunk_cost.reserve(count);
-  }
+  // The stream: the container's chunk slices, prefixes included.
+  ChunkStream stream{wifi, link, cut.hashes,
+                     "network lost mid-transfer; payload incomplete"};
+  stream.chunks.resize(count);
+  uint64_t chunk_off = prefix_payload;
   for (size_t i = 0; i < count; ++i) {
-    const uint64_t raw_i = std::min<uint64_t>(
-        kMigrationChunkBytes,
-        report.image_raw_bytes - uint64_t{i} * kMigrationChunkBytes);
+    StreamChunk& c = stream.chunks[i];
+    c.raw_bytes = cut.streams.RawChunkSize(i);
     // Dedup mode: a ref chunk never runs the codec — the home side ships
     // its hash and the guest memcpys verified cache content. A stored
     // chunk still paid the compress attempt (that is how it was found
     // incompressible) but decodes with a plain copy.
-    const LzChunkKind kind = i < stats.chunk_kind.size()
-                                 ? static_cast<LzChunkKind>(stats.chunk_kind[i])
-                                 : LzChunkKind::kLz;
+    c.kind = cut.streams.KindOf(i);
     // Pre-copy: a ref chunk was serialized during the warm-up rounds (its
     // content hash proves it unchanged since), and the guest applied its
     // cached content then too — both endpoints skip it in the stop-and-copy.
-    const bool prewarmed = config_.precopy && kind == LzChunkKind::kRef;
-    const ChunkCpuCosts cost =
-        ChunkCosts(home_device, guest_device, raw_i, kind, prewarmed);
-    stages[0].chunk_cost.push_back(cost.serialize);
-    stages[1].chunk_cost.push_back(cost.compress);
-    stages[2].chunk_cost.push_back(
-        i < foreground_chunks
-            ? ChunkWireCost(wifi, link, Charged(stats.chunk_wire_bytes[i]), i)
-            : 0);
-    stages[3].chunk_cost.push_back(cost.decompress);
-    stages[4].chunk_cost.push_back(cost.restore);
+    const bool prewarmed = config_.precopy && c.kind == LzChunkKind::kRef;
+    c.serialize = !prewarmed;
+    c.restore = !prewarmed;
+    const uint64_t chunk_len = stats.chunk_wire_bytes[i];
+    if (i < foreground_chunks) {
+      c.wire = payload.subspan(chunk_off, chunk_len);
+    } else {
+      report.deferred_bytes += Charged(chunk_len);
+    }
+    chunk_off += chunk_len;
+    if (config_.resume) {
+      // The guest caches each chunk as its wire window closes, so a resume
+      // ack covers exactly the delivered prefix (plus anything warm from
+      // earlier hops).
+      c.key = cut.hashes[i];
+      c.raw = ByteSpan(cut.cria.image.data(), cut.cria.image.size())
+                  .subspan(uint64_t{i} * kMigrationChunkBytes, c.raw_bytes);
+    }
   }
+
   // The wire is busy before chunk 0 can stream: the sync protocol itself
   // (already on the clock — `sync_elapsed` covers the APK verification
   // exchange), then the data-sync bytes + non-image payload prefix still
@@ -1038,41 +1069,26 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
                                  (shaped ? kFrameHeaderSize : 0);
     report.dedup.manifest_rtt = wifi.TransferTime(hashes_out, link) +
                                 wifi.TransferTime(bitmap_back, link);
-    const SimDuration fill0 =
-        count > 0 ? stages[0].chunk_cost[0] + stages[1].chunk_cost[0] : 0;
+    const StreamChunk c0 = count > 0 ? stream.chunks[0] : StreamChunk{};
+    const ChunkCpuCosts cost0 = ChunkCosts(home_device, guest_device,
+                                           c0.raw_bytes, c0.kind,
+                                           c0.serialize, c0.restore);
+    const SimDuration fill0 = cost0.serialize + cost0.compress;
     if (report.dedup.ref_chunks > 0 && report.dedup.manifest_rtt > fill0) {
       wire_offset = std::max(wire_offset, report.dedup.manifest_rtt);
     }
   }
-  stages[2].initial_offset = wire_offset;
 
-  const PipelinePlan plan = SchedulePipeline(stages);
-
+  ScheduleChunks(stream, wire_offset);
+  const std::vector<PipelineStageModel>& stages = stream.stages;
+  const PipelinePlan& plan = stream.plan;
   stats.makespan = plan.makespan;
   stats.stages = plan.stages;
-  // What the strictly serial staging would have cost for the same work:
-  // full-image serialize + single-core compress, one monolithic transfer,
-  // then decompress + restore — the Figure 13 sum.
-  stats.serial_estimate =
-      CpuCost(home_device, report.image_raw_bytes, kSerializeMbps) +
-      CpuCost(home_device, report.image_raw_bytes, kCompressMbps) +
-      sync_elapsed + wifi.TransferTime(foreground_wire, link) +
-      CpuCost(guest_device, report.image_raw_bytes, kDecompressMbps) +
-      CpuCost(guest_device, report.image_raw_bytes, kRestoreMbps);
-  stats.saved = stats.serial_estimate > stats.makespan
-                    ? stats.serial_estimate - stats.makespan
-                    : 0;
 
   // Now walk the simulated clock along the schedule. The checkpoint
   // interval (home-side fill) ends when chunk 0 is compressed and ready to
   // ship; everything after that is perceived as transfer.
-  constexpr size_t kCompress = 1;
-  constexpr size_t kWire = 2;
-  const SimDuration fill =
-      count > 0 ? plan.stages[kCompress].first_finish : 0;
-  if (clock.now() < t0 + fill) {
-    AdvanceWithTicks(t0 + fill);
-  }
+  AdvanceWithTicks(t0 + plan.stages[kCompressStage].first_finish);
   report.checkpoint.end = clock.now();
   report.transfer.begin = clock.now();
 
@@ -1081,10 +1097,10 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // past checkpoint.end into the transfer window — compression overlaps
   // the wire by design; it is a contained detail, not a sixth timeline
   // phase (Total() stays the sum of the five + tail).
-  if (count > 0 && plan.stages[kCompress].busy > 0) {
-    report.compress.begin = t0 + plan.finish[kCompress][0] -
-                            stages[kCompress].chunk_cost[0];
-    report.compress.end = t0 + plan.stages[kCompress].finish;
+  if (count > 0 && plan.stages[kCompressStage].busy > 0) {
+    report.compress.begin = t0 + plan.finish[kCompressStage][0] -
+                            stages[kCompressStage].chunk_cost[0];
+    report.compress.end = t0 + plan.stages[kCompressStage].finish;
   } else {
     report.compress.begin = report.checkpoint.end;
     report.compress.end = report.checkpoint.end;
@@ -1119,93 +1135,32 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   FLUX_TRACE_COUNT(config_.trace, trace_names::kMigrationChunksDeduped,
                    report.dedup.ref_chunks);
 
-  // Stream the chunks: advance to each wire-stage finish, watching for
-  // outages at every tick boundary. Without resume an outage aborts the
-  // transfer; with it, the stream rides the outage out and the rest of the
-  // schedule shifts by `stream.extra`. A shaped link also runs the frame
-  // codec per chunk, adding its retransmissions, jitter and rate dips.
-  FrameWireStats& fw = report.frame_wire;
-  fw.enabled = shaped;
-  std::optional<LinkShaper> shaper;
-  if (shaped) {
-    shaper.emplace(config_.net_profile,
-                   FluxHash64(ByteSpan(reinterpret_cast<const uint8_t*>(
-                                           app.package.data()),
-                                       app.package.size()),
-                              /*seed=*/0x6672616d) ^
-                       config_.net_seed);
-  }
-  ResumableStream stream{wifi, link, payload_chunk_hashes_,
-                         "network lost mid-transfer; payload incomplete"};
-  FLUX_RETURN_IF_ERROR(AdvanceStream(
-      stream, t0 + stages[kWire].initial_offset + link.latency,
-      /*resend_wire=*/0, report));
-  uint64_t chunk_off = payload.size() - container_bytes;
-  uint32_t next_seq = 0;
-  uint32_t next_group = 0;
-  for (size_t i = 0; i < foreground_chunks; ++i) {
-    const uint64_t chunk_len = stats.chunk_wire_bytes[i];
-    uint64_t in_flight = Charged(chunk_len);
-    if (shaper) {
-      // The real codec over this chunk's payload bytes: encode, lose,
-      // CRC-reject corrupt arrivals, FEC-reconstruct, retransmit — and the
-      // reassembly is checked byte-for-byte against what was sent.
-      FLUX_ASSIGN_OR_RETURN(
-          const ChunkTransmission tx,
-          TransmitFramedChunk(payload.subspan(chunk_off, chunk_len), *shaper,
-                              frame_options_, next_seq, next_group,
-                              &home_device.flight_recorder()));
-      next_seq = tx.next_seq;
-      next_group = tx.next_group;
-      fw.frames_sent += tx.frames_sent;
-      fw.data_frames += tx.data_frames;
-      fw.parity_frames += tx.parity_frames;
-      fw.frames_lost += tx.frames_lost;
-      fw.crc_errors += tx.crc_errors;
-      fw.frames_recovered += tx.frames_recovered;
-      fw.frames_retransmitted += tx.frames_retransmitted;
-      fw.wire_bytes += tx.wire_bytes;
-      fw.lost_bytes += tx.lost_bytes;
-      fw.retransmit_bytes += tx.retransmit_bytes;
-      stream.extra_wire += tx.retransmit_bytes;
-      in_flight = tx.wire_bytes;
-      // Time beyond the loss-free framed plan: retransmission rounds, this
-      // chunk's jitter draw, and a rate dip stretching its window.
-      SimDuration chunk_extra = shaper->NextJitter();
-      if (tx.retransmit_bytes > 0) {
-        chunk_extra +=
-            wifi.TransferTime(tx.retransmit_bytes, link) - link.latency;
-      }
-      const double dip = shaper->NextRateFactor();
-      if (dip < 1.0) {
-        const SimDuration base =
-            wifi.TransferTime(tx.wire_bytes, link) - link.latency;
-        chunk_extra += FromSecondsF(ToSecondsF(base) * (1.0 / dip - 1.0));
-      }
-      stream.extra += chunk_extra;
-    }
-    FLUX_RETURN_IF_ERROR(
-        AdvanceStream(stream, t0 + plan.finish[kWire][i], in_flight, report));
-    if (config_.resume && i < payload_chunk_hashes_.size() &&
-        !resume_raw_image_.empty()) {
-      // Chunk-granular delivery: the guest caches each chunk as its wire
-      // window closes, so a resume ack covers exactly the delivered prefix
-      // (plus anything warm from earlier hops).
-      const uint64_t begin = uint64_t{i} * kMigrationChunkBytes;
-      if (begin < resume_raw_image_.size()) {
-        const uint64_t len = std::min<uint64_t>(
-            kMigrationChunkBytes, resume_raw_image_.size() - begin);
-        guest_.chunk_cache().Insert(
-            payload_chunk_hashes_[i],
-            ByteSpan(resume_raw_image_.data() + begin, len));
-      }
-    }
-    chunk_off += chunk_len;
-  }
+  FLUX_RETURN_IF_ERROR(StreamChunks(stream, t0, shaper, report));
+  // The manifest handshake (hashes out, availability bitmap back) is real
+  // wire traffic even though its latency mostly hides under the data sync.
+  // Under a profile every component is charged framed: chunks per chunk,
+  // the non-image prefix as one stream, and the manifest as two control
+  // frames (kManifest + kManifestAck).
+  const uint64_t foreground_wire =
+      report.data_sync_bytes + Charged(prefix_payload) +
+      stream.wire_bytes + report.dedup.manifest_wire_bytes +
+      (shaped && report.dedup.enabled ? 2 * kFrameHeaderSize : 0);
   wifi.AccountTraffic(foreground_wire + stream.extra_wire);
   report.total_wire_bytes = foreground_wire + stream.extra_wire;
   report.transfer.end = clock.now();
-  Bytes().swap(resume_raw_image_);  // the guest cache holds the chunks now
+  Bytes().swap(cut.cria.image);  // the guest cache holds the chunks now
+  // What the strictly serial staging would have cost for the same work:
+  // full-image serialize + single-core compress, one monolithic transfer,
+  // then decompress + restore — the Figure 13 sum.
+  stats.serial_estimate =
+      CpuCost(home_device, report.image_raw_bytes, kSerializeMbps) +
+      CpuCost(home_device, report.image_raw_bytes, kCompressMbps) +
+      sync_elapsed + wifi.TransferTime(foreground_wire, link) +
+      CpuCost(guest_device, report.image_raw_bytes, kDecompressMbps) +
+      CpuCost(guest_device, report.image_raw_bytes, kRestoreMbps);
+  stats.saved = stats.serial_estimate > stats.makespan
+                    ? stats.serial_estimate - stats.makespan
+                    : 0;
 
   if (report.frame_wire.enabled) {
     FLUX_TRACE_COUNT(config_.trace, trace_names::kNetFramesSent,
@@ -1234,13 +1189,12 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // The guest-side drain (decompress + restore-apply beyond the last wire
   // finish) is charged by RestoreOnGuest up to this deadline, shifted by
   // whatever the hostile path added.
-  pipeline_restore_deadline_ = t0 + plan.makespan + stream.extra;
-  return OkStatus();
+  return t0 + plan.makespan + stream.extra;
 }
 
 Result<CriaRestoredApp> MigrationManager::RestoreOnGuest(
-    ByteSpan payload, MigrationReport& report, CallLog& log_out,
-    HardwareSnapshot& hw_out) {
+    ByteSpan payload, SimTime restore_deadline, MigrationReport& report,
+    CallLog& log_out, HardwareSnapshot& hw_out) {
   Device& guest_device = guest_.device();
   ScopedTimer timer(guest_device.clock(), report.restore);
 
@@ -1336,7 +1290,7 @@ Result<CriaRestoredApp> MigrationManager::RestoreOnGuest(
   if (restored.ok() && config_.pipelined) {
     // Decompress + restore-apply overlapped with the transfer; only the
     // pipeline drain past the last wire byte lands in this interval.
-    AdvanceWithTicks(pipeline_restore_deadline_);
+    AdvanceWithTicks(restore_deadline);
   }
   return restored;
 }
@@ -1439,14 +1393,20 @@ Result<MigrationReport> MigrationManager::Migrate(const RunningApp& app,
     }
   } context_guard{this};
 
+  // A shaped link draws every framed chunk of this migration, pre-copy
+  // rounds first, from one shaper: the draw sequence is part of the
+  // deterministic contract.
+  std::unique_ptr<LinkShaper> shaper;
   if (!config_.net_profile.IsClean()) {
+    const ByteSpan package(
+        reinterpret_cast<const uint8_t*>(app.package.data()),
+        app.package.size());
     home_.device().wifi().ApplyProfile(
         config_.net_profile,
-        FluxHash64(ByteSpan(reinterpret_cast<const uint8_t*>(
-                                app.package.data()),
-                            app.package.size()),
-                   0x6f757467u) ^
-            config_.net_seed);
+        FluxHash64(package, 0x6f757467u) ^ config_.net_seed);
+    shaper = std::make_unique<LinkShaper>(
+        config_.net_profile,
+        FluxHash64(package, /*seed=*/0x6672616d) ^ config_.net_seed);
   }
 
   if (app.device != &home_.device()) {
@@ -1557,13 +1517,14 @@ Result<MigrationReport> MigrationManager::Migrate(const RunningApp& app,
   FLUX_EVENT(home_rec, flight_events::kSubMigration,
              flight_events::kMigrationPrepared, EventSeverity::kInfo,
              static_cast<uint64_t>(app.pid), 0);
-  auto payload_result = config_.precopy
-                            ? BuildPayloadPrecopy(app, spec, report)
-                            : BuildPayload(app, report);
-  if (!payload_result.ok()) {
-    return rollback("checkpoint", payload_result.status());
+  auto shipped_result =
+      config_.precopy ? BuildPayloadPrecopy(app, spec, shaper.get(), report)
+                      : BuildPayload(app, report);
+  if (!shipped_result.ok()) {
+    return rollback("checkpoint", shipped_result.status());
   }
-  Bytes payload = payload_result.TakeValue();
+  PlannedCut shipped = shipped_result.TakeValue();
+  Bytes& payload = shipped.payload;
   FLUX_EVENT(home_rec, flight_events::kSubMigration,
              flight_events::kMigrationCheckpointed, EventSeverity::kInfo,
              payload.size(), report.image_raw_bytes);
@@ -1573,14 +1534,17 @@ Result<MigrationReport> MigrationManager::Migrate(const RunningApp& app,
     config_.payload_fault(payload);
   }
 
+  // Where the guest-side drain of a pipelined transfer ends.
+  SimTime restore_deadline = 0;
   if (config_.pipelined) {
     // Chunked streaming: post-copy deferral happens per chunk inside the
     // schedule, and the transfer is paced chunk by chunk.
-    if (Status transferred = TransferPipelined(
-            app, spec, ByteSpan(payload.data(), payload.size()), report);
-        !transferred.ok()) {
-      return rollback("transfer", transferred);
+    auto transferred =
+        TransferPipelined(app, spec, shipped, shaper.get(), report);
+    if (!transferred.ok()) {
+      return rollback("transfer", transferred.status());
     }
+    restore_deadline = transferred.value();
   } else {
     // Post-copy (§4's proposed optimization): only the hot working set of
     // the image is pre-paged before restore; the rest streams while the app
@@ -1609,8 +1573,9 @@ Result<MigrationReport> MigrationManager::Migrate(const RunningApp& app,
 
   CallLog log;
   HardwareSnapshot home_hw;
-  auto restored_result = RestoreOnGuest(
-      ByteSpan(payload.data(), payload.size()), report, log, home_hw);
+  auto restored_result =
+      RestoreOnGuest(ByteSpan(payload.data(), payload.size()),
+                     restore_deadline, report, log, home_hw);
   if (!restored_result.ok()) {
     return rollback("restore", restored_result.status());
   }

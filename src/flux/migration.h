@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/apps/app_instance.h"
@@ -313,29 +314,37 @@ class MigrationManager {
   Status Prepare(const RunningApp& app, MigrationReport& report);
   // A checkpoint cut, planned for shipping: in chunked modes its chunks are
   // encoded once, and with chunk_dedup they are keyed and probed against
-  // the guest's cache (the probe's hits travel as refs).
+  // the guest's cache (the probe's hits travel as refs). BuildPayload
+  // frames it and hands it on by value: the transfer reads the payload,
+  // re-offers `hashes` in a resume handshake and, under resume only,
+  // delivers chunks of the raw image (BuildPayload frees it otherwise).
   struct PlannedCut {
     CriaCheckpointResult cria;
     std::vector<Hash128> hashes;  // chunk_dedup: each raw chunk's key
     std::vector<uint8_t> cached;  // chunk_dedup: 1 = the guest holds it
     LzChunkStreams streams;       // chunked modes; digest not yet set
+    Bytes payload;                // set by BuildPayload
   };
   // Cuts the app's process tree and plans the cut (host work only; the
   // simulated clock does not move). Every pre-copy round and every fresh
   // stop-and-copy plans the same way.
   Result<PlannedCut> CutAndPlan(const RunningApp& app);
   // Builds the payload from `planned` when given (a pre-copy round's cut,
-  // taken with nothing run or written since), else from a fresh cut.
-  Result<Bytes> BuildPayload(const RunningApp& app, MigrationReport& report,
-                             PlannedCut* planned = nullptr);
+  // taken with nothing run or written since), else from a fresh cut, and
+  // returns that cut carrying it.
+  Result<PlannedCut> BuildPayload(
+      const RunningApp& app, MigrationReport& report,
+      std::optional<PlannedCut> planned = std::nullopt);
   // Pre-copy mode: runs the converging warm-up rounds (streaming chunks
   // into the guest cache while the app keeps dirtying memory), then
   // freezes the app and ships the stop-and-copy payload — the last round's
   // cut when the rounds end right after planning it, a fresh cut after a
   // streaming round, and a re-cut if a write raced either. Fills
   // report.precopy and folds the whole window into the checkpoint interval.
-  Result<Bytes> BuildPayloadPrecopy(const RunningApp& app, const AppSpec& spec,
-                                    MigrationReport& report);
+  Result<PlannedCut> BuildPayloadPrecopy(const RunningApp& app,
+                                         const AppSpec& spec,
+                                         LinkShaper* shaper,
+                                         MigrationReport& report);
   Status Transfer(const RunningApp& app, const AppSpec& spec,
                   uint64_t payload_bytes, MigrationReport& report);
   // APK verification + data-directory delta sync into the pairing root;
@@ -343,25 +352,54 @@ class MigrationManager {
   // advanced for them (shared by both transfer paths).
   Result<AppDataSync> SyncAppData(const RunningApp& app, const AppSpec& spec,
                                   MigrationReport& report);
-  // Pipelined mode: data sync + chunked image streaming paced by the
-  // overlapped stage schedule. Fills report.pipeline and re-stamps the
-  // checkpoint/transfer intervals with the overlapped boundaries. Takes the
-  // payload itself (not just its size): under a non-clean profile each
-  // chunk's bytes run through the real frame codec.
-  Status TransferPipelined(const RunningApp& app, const AppSpec& spec,
-                           ByteSpan payload, MigrationReport& report);
-  // A chunk stream on the wire (a pre-copy round or the stop-and-copy) and
-  // how far it has slipped behind its loss-free schedule.
-  struct ResumableStream {
+  // Pipelined mode: data sync + the stop-and-copy chunk stream. Fills
+  // report.pipeline, re-stamps the checkpoint/transfer intervals with the
+  // overlapped boundaries, and returns the end of the overlapped guest
+  // stages, which RestoreOnGuest drains to.
+  Result<SimTime> TransferPipelined(const RunningApp& app, const AppSpec& spec,
+                                    PlannedCut& cut, LinkShaper* shaper,
+                                    MigrationReport& report);
+  // One chunk of a stream: a pre-copy round's pending chunk or a
+  // stop-and-copy container slice.
+  struct StreamChunk {
+    uint64_t raw_bytes = 0;
+    LzChunkKind kind = LzChunkKind::kLz;
+    // Its bytes on the link; empty when post-copy defers it.
+    ByteSpan wire;
+    bool serialize = true;  // home still serializes it
+    bool restore = true;    // the guest restore-applies it
+    // Delivered into the guest cache as its wire window closes, if set.
+    Hash128 key;
+    ByteSpan raw;
+  };
+  // A chunk stream on the wire and how far it has slipped behind its
+  // loss-free schedule.
+  struct ChunkStream {
     WifiNetwork& wifi;
     const EffectiveLink& link;
     // What a resume handshake re-offers (PROTOCOL.md §8).
     const std::vector<Hash128>& manifest;
     // The kUnavailable cause when the stream cannot ride an outage out.
     const char* fail_msg;
+    std::vector<StreamChunk> chunks = {};
+    // Set by ScheduleChunks, in offsets from the stream's start.
+    std::vector<PipelineStageModel> stages = {};
+    PipelinePlan plan = {};
+    // Set by StreamChunks.
+    uint64_t wire_bytes = 0;  // the chunks' loss-free wire bytes
     SimDuration extra = 0;    // stalls, handshakes, re-sends, codec time
     uint64_t extra_wire = 0;  // handshake, re-send and retransmit bytes
   };
+  // Schedules the chunks on the cost model's five stages (serialize →
+  // compress → wire → decompress → restore), the wire busy until
+  // `wire_offset`.
+  void ScheduleChunks(ChunkStream& stream, SimDuration wire_offset) const;
+  // The walker: paces the clock from `t0` through each scheduled wire
+  // window; on a shaped link every chunk runs the frame codec under
+  // `shaper`, and each delivery enters the guest cache as its window
+  // closes.
+  Status StreamChunks(ChunkStream& stream, SimTime t0, LinkShaper* shaper,
+                      MigrationReport& report);
   // Advances the clock to `target` + stream.extra, watching the link. At
   // each outage on the way it waits for the link to recover (devices keep
   // ticking), runs the resume handshake — a framed manifest re-offer out, a
@@ -372,12 +410,15 @@ class MigrationManager {
   // off, the outage is permanent or longer than resume_wait_max, or
   // kResumeMaxAttempts is spent — the caller rolls back exactly as before
   // resume existed.
-  Status AdvanceStream(ResumableStream& stream, SimTime target,
+  Status AdvanceStream(ChunkStream& stream, SimTime target,
                        uint64_t resend_wire, MigrationReport& report);
   // Wire bytes charged for `bytes` of stream payload: framed under a
   // non-clean profile (PROTOCOL.md §5), as-is on a clean link.
   uint64_t Charged(uint64_t bytes) const;
+  // Decodes and restores `payload` on the guest; pipelined mode then
+  // drains the overlapped guest stages up to `restore_deadline`.
   Result<CriaRestoredApp> RestoreOnGuest(ByteSpan payload,
+                                         SimTime restore_deadline,
                                          MigrationReport& report,
                                          CallLog& log_out,
                                          HardwareSnapshot& hw_out);
@@ -420,17 +461,6 @@ class MigrationManager {
   // entry, cleared (with both recorders' and the tracer's ambient context)
   // on every exit path.
   TraceContext ctx_;
-  // Absolute end of the overlapped decompress+restore stages, set by
-  // TransferPipelined and consumed by RestoreOnGuest.
-  SimTime pipeline_restore_deadline_ = 0;
-  // Dedup mode: the raw-chunk hash manifest of the current payload, stored
-  // by BuildPayload — the resume handshake re-offers exactly this list.
-  std::vector<Hash128> payload_chunk_hashes_;
-  // Resume mode only: the raw image, moved out of the checkpoint once its
-  // chunk streams are encoded, so the guest cache can take each chunk as
-  // its wire window closes (chunk-granular delivery is what the resume ack
-  // is about). Freed when the transfer completes.
-  Bytes resume_raw_image_;
   // Pre-copy only: the modeled write load of the still-running app,
   // invoked from AdvanceWithTicks with each slice's duration. Installed
   // for the duration of the warm-up rounds; null (the default) leaves

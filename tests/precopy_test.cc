@@ -2,9 +2,10 @@
 // space, the pinned bytes of the full CRIA image every round cuts, the
 // converging warm-up rounds in MigrationManager and the cuts they take (a
 // converged hop ships its probe round's cut; a streaming exit cuts afresh)
-// — plus the two failure paths that must stay safe: a write racing the
-// final stop-and-copy cut (re-cut, never silently dropped) and a poisoned
-// guest chunk cache (full chunks re-ship, restore stays byte-exact).
+// and the frame codec the rounds run on a shaped link — plus the two
+// failure paths that must stay safe: a write racing the final
+// stop-and-copy cut (re-cut, never silently dropped) and a poisoned guest
+// chunk cache (full chunks re-ship, restore stays byte-exact).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -354,6 +355,30 @@ TEST(PrecopyMigrationTest, PoisonedGuestCacheFallsBackWithoutCorruption) {
   EXPECT_GT(guest_cache.stats().verify_failures, 0u);
   EXPECT_EQ(hop2->image_hash, hop2->restored_image_hash);
   EXPECT_NE(tw.a->kernel().FindProcess(hop2->migrated.pid), nullptr);
+}
+
+TEST(PrecopyMigrationTest, RoundsOnShapedLinkRunFrameCodec) {
+  RoundTripWorld tw;
+  tw.Boot("Flappy Bird");
+  MigrationConfig config = PrecopyConfig();
+  config.net_profile.name = "loss-1pct";
+  config.net_profile.loss_rate = 0.01;
+  config.frame_payload_bytes = 2048;
+  auto hop = tw.Hop(*tw.a_agent, *tw.b_agent, config);
+  ASSERT_TRUE(hop.ok()) << hop.status().ToString();
+  ASSERT_TRUE(hop->success) << hop->refusal_reason;
+  EXPECT_EQ(hop->image_hash, hop->restored_image_hash);
+
+  // Round 0 streamed the cold image, and it went through the frame codec
+  // like the stop-and-copy: the framed bytes the codec put on the air
+  // cover every round's wire bytes, which the stop-and-copy alone (mostly
+  // refs after the warm-up) would not.
+  ASSERT_TRUE(hop->frame_wire.enabled);
+  ASSERT_FALSE(hop->precopy.rounds.empty());
+  EXPECT_GT(hop->precopy.rounds[0].chunks_sent, 0u);
+  EXPECT_GT(hop->frame_wire.frames_lost, 0u);
+  EXPECT_GE(hop->frame_wire.wire_bytes, hop->precopy.wire_bytes);
+  EXPECT_NE(tw.b->kernel().FindProcess(hop->migrated.pid), nullptr);
 }
 
 TEST(PrecopyMigrationTest, NonConvergenceIsReportedThroughForensics) {

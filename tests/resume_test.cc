@@ -5,9 +5,9 @@
 // boundary across the transfer window, each run required to deliver an
 // image byte-identical to the no-fault run. Around it: the rollback paths
 // that must stay rollbacks (resume off, outage too long), the FEC loss
-// path end to end, and the pre-copy mid-round regression — a warm-up round
-// interrupted mid-stream used to abort the whole migration; now it resumes
-// at chunk granularity.
+// path end to end, and the pre-copy mid-round cases — a warm-up round
+// interrupted mid-stream resumes at chunk granularity with resume on, and
+// without it rolls back leaving only the chunks it delivered cached.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -287,6 +287,44 @@ TEST(ResumeTest, PrecopyRoundInterruptedMidStreamResumesNotAborts) {
               hop->resume.lost_bytes + hop->resume.lost_bytes / 5);
     EXPECT_NE(tw.b->kernel().FindProcess(hop->migrated.pid), nullptr);
   }
+}
+
+TEST(ResumeTest, LostPrecopyRoundCachesOnlyDeliveredChunks) {
+  // The same outage as above, placed by a no-fault resume run; also learn
+  // how many chunks round 0 streams.
+  SimTime mid = 0;
+  uint32_t round0_chunks = 0;
+  {
+    ResumeWorld base;
+    base.Boot(kApp);
+    MigrationConfig config = ResumeConfig();
+    config.precopy = true;
+    auto hop = base.Hop(config);
+    ASSERT_TRUE(hop.ok() && hop->success) << hop.status().ToString();
+    ASSERT_FALSE(hop->precopy.rounds.empty());
+    mid = hop->precopy.window.begin +
+          (hop->precopy.window.end - hop->precopy.window.begin) / 4;
+    round0_chunks = hop->precopy.rounds[0].chunks_sent;
+    // The outage lands while round 0 streams.
+    ASSERT_LT(mid, hop->precopy.rounds[0].interval.end);
+  }
+
+  // Without resume the hop rolls back, and the guest cache holds only the
+  // chunks whose wire windows closed before the link went down — not the
+  // whole round.
+  ResumeWorld tw;
+  tw.Boot(kApp);
+  const size_t cached_before = tw.b_agent->chunk_cache().entries();
+  MigrationConfig config;
+  config.precopy = true;
+  tw.world.wifi().ScheduleOutageWindow(mid, Seconds(2));
+  auto hop = tw.Hop(config);
+  ASSERT_FALSE(hop.ok());
+  EXPECT_EQ(hop.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(tw.a->kernel().FindProcess(tw.running.pid), nullptr);
+  const size_t gained = tw.b_agent->chunk_cache().entries() - cached_before;
+  EXPECT_GT(gained, 0u);
+  EXPECT_LT(gained, round0_chunks);
 }
 
 }  // namespace
