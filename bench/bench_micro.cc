@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark): real wall-clock cost of the hot
 // paths — Binder transactions with and without the Flux record engine
 // interposed (the implementation-level version of Figure 16's claim),
-// parcel marshalling, the LZ codec, FluxHash128, the chunk cache's
-// verified probes and ref resolution, and CRIA checkpoint/restore
-// throughput.
+// parcel marshalling, synthetic content generation, the LZ codec,
+// FluxHash128, the chunk cache's verified probes and ref resolution, and
+// CRIA checkpoint/restore throughput.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -86,6 +86,19 @@ void BM_ParcelRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParcelRoundTrip);
+
+void BM_GenerateContent(benchmark::State& state) {
+  // World set-up's content generator over 16 MiB. Arg = compressibility in
+  // percent: 25 is the APK's mix, 60 the app data files'.
+  const double compressibility = static_cast<double>(state.range(0)) / 100;
+  for (auto _ : state) {
+    Bytes content = GenerateContent(11, 16 << 20, compressibility);
+    benchmark::DoNotOptimize(content);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          (16 << 20));
+}
+BENCHMARK(BM_GenerateContent)->Arg(25)->Arg(60);
 
 void BM_LzCompress(benchmark::State& state) {
   const Bytes input = GenerateContent(7, static_cast<uint64_t>(state.range(0)),

@@ -11,13 +11,15 @@ namespace flux {
 Bytes GenerateContent(uint64_t seed, uint64_t size, double compressibility) {
   compressibility = std::clamp(compressibility, 0.0, 1.0);
   Rng rng(seed ^ 0xC0FFEE1234ull);
-  Bytes out;
-  out.reserve(size);
-  while (out.size() < size) {
+  // Sized once and filled run by run; each random byte is one Rng step.
+  Bytes out(size);
+  uint64_t pos = 0;
+  while (pos < size) {
     const bool repetitive = rng.NextBool(compressibility);
     // Chunks of 32..287 bytes keep run structure visible to a 64 KiB window.
     const uint64_t chunk =
-        std::min<uint64_t>(32 + rng.NextBelow(256), size - out.size());
+        std::min<uint64_t>(32 + rng.NextBelow(256), size - pos);
+    uint8_t* const run = out.data() + pos;
     if (repetitive) {
       // A short repeating motif, as found in zeroed or structured pages.
       const int motif_len = 1 + static_cast<int>(rng.NextBelow(8));
@@ -25,14 +27,23 @@ Bytes GenerateContent(uint64_t seed, uint64_t size, double compressibility) {
       for (int i = 0; i < motif_len; ++i) {
         motif[i] = static_cast<uint8_t>(rng.NextU64());
       }
-      for (uint64_t i = 0; i < chunk; ++i) {
-        out.push_back(motif[i % motif_len]);
+      for (uint64_t i = 0, m = 0; i < chunk; ++i) {
+        run[i] = motif[m];
+        if (++m == static_cast<uint64_t>(motif_len)) {
+          m = 0;
+        }
       }
     } else {
+      // Stepped on a local copy: a byte store could alias `rng`, whose
+      // address escapes to NextBool, so stepping it in place would reload
+      // its state from memory after every byte.
+      Rng local = rng;
       for (uint64_t i = 0; i < chunk; ++i) {
-        out.push_back(static_cast<uint8_t>(rng.NextU64()));
+        run[i] = static_cast<uint8_t>(local.NextU64());
       }
+      rng = local;
     }
+    pos += chunk;
   }
   return out;
 }

@@ -32,12 +32,12 @@ void SeedChunkCachesFromTree(FluxAgent& home, FluxAgent& guest,
     if (!content.ok()) {
       return;
     }
-    const Bytes& bytes = *content.value();
+    const ByteSpan bytes = content.value()->span();
     for (uint64_t begin = 0; begin < bytes.size();
          begin += kChunkCacheChunkBytes) {
       const uint64_t len =
           std::min<uint64_t>(kChunkCacheChunkBytes, bytes.size() - begin);
-      const ByteSpan chunk(bytes.data() + begin, len);
+      const ByteSpan chunk = bytes.subspan(begin, len);
       const Hash128 hash = FluxHash128(chunk);
       home.chunk_cache().Insert(hash, chunk);
       guest.chunk_cache().Insert(hash, chunk);

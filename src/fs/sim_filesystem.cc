@@ -2,17 +2,28 @@
 
 #include <algorithm>
 
+#include "src/base/compress.h"
 #include "src/base/hash.h"
 #include "src/base/strings.h"
+#include "src/base/thread_pool.h"
 
 namespace flux {
 
-uint64_t Inode::ContentHash() const {
-  if (!hash_valid_) {
-    hash_ = FluxHash64(ByteSpan(content_.data(), content_.size()));
-    hash_valid_ = true;
+uint64_t Blob::Hash() const {
+  if (!hash_.has_value()) {
+    hash_ = FluxHash64(span());
   }
-  return hash_;
+  return *hash_;
+}
+
+uint64_t Blob::CompressedSize() const {
+  if (!compressed_size_.has_value()) {
+    // A large Blob is counted on the shared pool; the count equals the
+    // serial one (LzCompressedSize), so the pool changes no byte.
+    compressed_size_ = LzCompressedSize(
+        span(), ThreadPool::Shared(ThreadPool::DefaultThreads()));
+  }
+  return *compressed_size_;
 }
 
 SimFilesystem::SimFilesystem() { root_.is_dir = true; }
@@ -84,8 +95,12 @@ Status SimFilesystem::Mkdirs(std::string_view path) {
   return OkStatus();
 }
 
-Status SimFilesystem::WriteFile(std::string_view path, Bytes content,
+Status SimFilesystem::WriteFile(std::string_view path,
+                                std::shared_ptr<const Blob> blob,
                                 bool create_parents) {
+  if (blob == nullptr) {
+    return InvalidArgument("no content for " + std::string(path));
+  }
   FLUX_ASSIGN_OR_RETURN(auto components, SplitPath(path));
   if (components.empty()) {
     return InvalidArgument("cannot write to '/'");
@@ -113,30 +128,37 @@ Status SimFilesystem::WriteFile(std::string_view path, Bytes content,
     // how rsync replaces files.
     if (it->second.inode->link_count() > 1) {
       it->second.inode->DropLink();
-      it->second.inode = std::make_shared<Inode>(std::move(content));
+      it->second.inode = std::make_shared<Inode>(std::move(blob));
       it->second.inode->AddLink();
     } else {
-      it->second.inode->SetContent(std::move(content));
+      it->second.inode->SetBlob(std::move(blob));
     }
     return OkStatus();
   }
 
   Node node;
   node.is_dir = false;
-  node.inode = std::make_shared<Inode>(std::move(content));
+  node.inode = std::make_shared<Inode>(std::move(blob));
   node.inode->AddLink();
   dir->children.emplace(name, std::move(node));
   return OkStatus();
 }
 
+Status SimFilesystem::WriteFile(std::string_view path, Bytes content,
+                                bool create_parents) {
+  return WriteFile(path, std::make_shared<const Blob>(std::move(content)),
+                   create_parents);
+}
+
 Status SimFilesystem::WriteFile(std::string_view path,
                                 std::string_view content,
                                 bool create_parents) {
-  Bytes bytes(content.begin(), content.end());
-  return WriteFile(path, std::move(bytes), create_parents);
+  return WriteFile(path, Bytes(content.begin(), content.end()),
+                   create_parents);
 }
 
-Result<const Bytes*> SimFilesystem::ReadFile(std::string_view path) const {
+Result<std::shared_ptr<const Blob>> SimFilesystem::ReadFile(
+    std::string_view path) const {
   const Node* node = FindNode(path);
   if (node == nullptr) {
     return NotFound("no such file: " + std::string(path));
@@ -144,7 +166,7 @@ Result<const Bytes*> SimFilesystem::ReadFile(std::string_view path) const {
   if (node->is_dir) {
     return FailedPrecondition("is a directory: " + std::string(path));
   }
-  return &node->inode->content();
+  return node->inode->blob();
 }
 
 Status SimFilesystem::Link(std::string_view existing,

@@ -1,8 +1,6 @@
 #include "src/fs/sync_engine.h"
 
-#include "src/base/compress.h"
 #include "src/base/strings.h"
-#include "src/base/thread_pool.h"
 
 namespace flux {
 
@@ -95,16 +93,13 @@ Result<SyncStats> SyncTree(const SimFilesystem& src,
       }
     }
 
-    // Copy (transfer) the content.
-    FLUX_ASSIGN_OR_RETURN(const Bytes* content, src.ReadFile(file.path));
-    // A large file's size is counted on the shared pool; the count equals
-    // the serial one (LzCompressedSize), so sharing changes no byte.
+    // Copy (transfer) the content: the destination holds the source's Blob,
+    // and the wire carries its compressed size, counted once per content.
+    FLUX_ASSIGN_OR_RETURN(std::shared_ptr<const Blob> content,
+                          src.ReadFile(file.path));
     const uint64_t wire =
-        options.compress
-            ? LzCompressedSize(ByteSpan(content->data(), content->size()),
-                               ThreadPool::Shared(ThreadPool::DefaultThreads()))
-            : content->size();
-    FLUX_RETURN_IF_ERROR(dst.WriteFile(dst_path, *content));
+        options.compress ? content->CompressedSize() : content->size();
+    FLUX_RETURN_IF_ERROR(dst.WriteFile(dst_path, std::move(content)));
     ++stats.files_copied;
     stats.bytes_copied_raw += file.size;
     stats.bytes_transferred += wire;

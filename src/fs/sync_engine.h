@@ -11,7 +11,11 @@
 //   - up-to-date: destination already has the file with matching content;
 //   - linked:     a file at the same relative path under link_dest matches
 //                 by content hash -> hard link, no bytes transferred;
-//   - copied:     content is transferred (optionally compressed).
+//   - copied:     content is transferred (optionally compressed). The
+//                 destination file holds the source's Blob rather than a
+//                 copy of its bytes, and the wire charge is the Blob's
+//                 memoized compressed size, so syncing one content to
+//                 several places stores and counts it once.
 #ifndef FLUX_SRC_FS_SYNC_ENGINE_H_
 #define FLUX_SRC_FS_SYNC_ENGINE_H_
 

@@ -3,6 +3,9 @@
 // dies here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/base/compress.h"
 #include "src/base/synthetic_content.h"
 #include "src/fs/sim_filesystem.h"
 #include "src/fs/sync_engine.h"
@@ -208,6 +211,51 @@ TEST_F(SyncEngineTest, LinkDestHardLinksIdenticalFiles) {
   EXPECT_EQ(stats->files_copied, 2u);  // two.bin differs, three.bin missing
   EXPECT_EQ(stats->bytes_linked, 5000u);
   EXPECT_TRUE(dst_.SameInode("/system/one.bin", "/pair/one.bin"));
+}
+
+TEST_F(SyncEngineTest, CopySharesBytesUntilRewritten) {
+  FillSource();
+  const uint64_t source_hash = src_.FileHash("/tree/one.bin").value();
+  auto copy = SyncTree(src_, "/tree", src_, "/copy");
+  ASSERT_TRUE(copy.ok());
+  // The copy reads the source's bytes in memory, yet is a file of its own.
+  EXPECT_EQ(src_.ReadFile("/tree/one.bin").value()->data(),
+            src_.ReadFile("/copy/one.bin").value()->data());
+  EXPECT_FALSE(src_.SameInode("/tree/one.bin", "/copy/one.bin"));
+
+  // Rewriting the copy reaches neither the source's bytes nor its hash.
+  ASSERT_TRUE(src_.WriteFile("/copy/one.bin",
+                             GenerateContent(99, 5000, 0.5)).ok());
+  EXPECT_EQ(src_.FileHash("/tree/one.bin").value(), source_hash);
+  EXPECT_NE(src_.FileHash("/copy/one.bin").value(), source_hash);
+  const Bytes original = GenerateContent(1, 5000, 0.5);
+  auto source = src_.ReadFile("/tree/one.bin");
+  ASSERT_TRUE(source.ok());
+  EXPECT_TRUE(std::equal(source.value()->begin(), source.value()->end(),
+                         original.begin(), original.end()));
+
+  // Link-dest against the partly rewritten copy: the two untouched files
+  // link, and one.bin is sent at its compressed size.
+  const uint64_t one_wire =
+      LzCompressedSize(ByteSpan(original.data(), original.size()));
+  SyncOptions options;
+  options.link_dest = "/copy";
+  auto linked = SyncTree(src_, "/tree", src_, "/pair", options);
+  ASSERT_TRUE(linked.ok());
+  EXPECT_EQ(linked->files_linked, 2u);
+  EXPECT_EQ(linked->bytes_linked, 4000u);
+  EXPECT_EQ(linked->files_copied, 1u);
+  EXPECT_EQ(linked->bytes_transferred, one_wire);
+  EXPECT_TRUE(src_.SameInode("/copy/sub/two.bin", "/pair/sub/two.bin"));
+
+  // Up to date except the rewritten file, which is sent again.
+  auto resync = SyncTree(src_, "/tree", src_, "/copy");
+  ASSERT_TRUE(resync.ok());
+  EXPECT_EQ(resync->files_up_to_date, 2u);
+  EXPECT_EQ(resync->bytes_up_to_date, 4000u);
+  EXPECT_EQ(resync->files_copied, 1u);
+  EXPECT_EQ(resync->bytes_transferred, one_wire);
+  EXPECT_EQ(src_.FileHash("/copy/one.bin").value(), source_hash);
 }
 
 TEST_F(SyncEngineTest, SingleFileSource) {

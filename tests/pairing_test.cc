@@ -143,6 +143,42 @@ TEST_F(PairingTest, ApkVerificationResyncsAfterUpdate) {
             home_->filesystem().FileHash(app.ApkPath()).value());
 }
 
+TEST_F(PairingTest, WireBytesArePinned) {
+  // Framework sync both ways, then each app paired both ways: one whose
+  // files all sit under the pool's split threshold (kLzSplitMinBytes) and
+  // one whose APK is over it. Recorded when every synced copy was counted
+  // afresh; the return hop's APK now reads the size memoized on its Blob.
+  auto ab = PairDevices(*home_agent_, *guest_agent_);
+  auto ba = PairDevices(*guest_agent_, *home_agent_);
+  ASSERT_TRUE(ab.ok()) << ab.status().ToString();
+  ASSERT_TRUE(ba.ok()) << ba.status().ToString();
+  EXPECT_EQ(ab->framework_wire_bytes, 1203905u);
+  EXPECT_EQ(ba->framework_wire_bytes, 1201475u);
+
+  AppSpec small = *FindApp("Flappy Bird");
+  small.package = "com.example.tiny";
+  small.display_name = "Tiny";
+  small.apk_bytes = KiB(96);
+  small.data_dir_bytes = KiB(32);
+  const AppSpec large = *FindApp("Flappy Bird");  // 1 MiB APK
+  struct Pinned {
+    const AppSpec* spec;
+    uint64_t home_to_guest;
+    uint64_t guest_to_home;
+  };
+  for (const Pinned& p : {Pinned{&small, 97704, 83558},
+                          Pinned{&large, 1034551, 906177}}) {
+    AppInstance app(*home_, *p.spec);
+    ASSERT_TRUE(app.Install().ok());
+    auto there = PairApp(*home_agent_, *guest_agent_, *p.spec);
+    auto back = PairApp(*guest_agent_, *home_agent_, *p.spec);
+    ASSERT_TRUE(there.ok()) << there.status().ToString();
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*there, p.home_to_guest) << p.spec->package;
+    EXPECT_EQ(*back, p.guest_to_home) << p.spec->package;
+  }
+}
+
 TEST_F(PairingTest, PairingAdvancesClockByTransferTime) {
   const SimTime before = world_.clock().now();
   ASSERT_TRUE(PairDevices(*home_agent_, *guest_agent_).ok());

@@ -232,7 +232,7 @@ Result<ApkUpdateCost> MeasureApkUpdateCost(const MigrationConfig& config) {
   if (info == nullptr) {
     return NotFound("package missing");
   }
-  FLUX_ASSIGN_OR_RETURN(const Bytes* apk,
+  FLUX_ASSIGN_OR_RETURN(std::shared_ptr<const Blob> apk,
                         changed.home->filesystem().ReadFile(info->apk_path));
   // Same-size incompressible replacement: the paired copy's hash no longer
   // matches, forcing a full APK re-sync during migration prepare.
