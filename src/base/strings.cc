@@ -93,4 +93,35 @@ std::string HumanBytes(uint64_t bytes) {
   return StrFormat("%llu B", static_cast<unsigned long long>(bytes));
 }
 
+void AppendJsonEscaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned char>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
 }  // namespace flux

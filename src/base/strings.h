@@ -29,6 +29,10 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 // Formats a byte count as "12.3 MB" / "456 KB" / "789 B".
 std::string HumanBytes(uint64_t bytes);
 
+// Appends `s` escaped for the body of a JSON string: quote, backslash,
+// \n, \t and \r by name, every other control byte as \u00XX.
+void AppendJsonEscaped(std::string& out, std::string_view s);
+
 }  // namespace flux
 
 #endif  // FLUX_SRC_BASE_STRINGS_H_

@@ -1,45 +1,15 @@
 #include "src/flux/forensics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
+#include "src/base/strings.h"
 #include "src/flux/call_log.h"
 
 namespace flux {
 
 namespace {
-
-void AppendJsonEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void AppendJsonString(std::string& out, std::string_view s) {
   out += '"';

@@ -24,15 +24,24 @@ constexpr double kPrecopyMinRoundShrink = 0.85;
 // Resume gives up after this many handshakes (forensics, then rollback).
 constexpr int kResumeMaxAttempts = 8;
 
-// Modeled wire bytes of the dedup manifest handshake (PROTOCOL.md §7): the
-// home side sends a 32-byte header — 16 bytes of framing fields plus the
-// 16-byte trace-context field added in manifest v2 (§7.1) — plus one
-// 16-byte hash per chunk; the guest answers with a header plus a
-// one-bit-per-chunk availability bitmap. The context travels whether or
-// not tracing is compiled in: it is protocol data, and charging it
-// unconditionally is what keeps the three telemetry configs byte-identical.
-uint64_t ManifestWireBytes(uint64_t chunk_count) {
-  return 32 + 16 * chunk_count + 8 + (chunk_count + 7) / 8;
+// Modeled wire bytes of one manifest exchange over `n` chunks: the dedup
+// handshake (PROTOCOL.md §7) and the resume offer/ack (§8). The home side
+// sends a 32-byte header — 16 bytes of framing fields plus the 16-byte
+// trace-context field added in manifest v2 (§7.1) — plus one 16-byte hash
+// per chunk; the guest answers with an 8-byte header plus a one-bit-per-chunk
+// availability bitmap. `framed` adds a frame header to each direction. The
+// context travels whether or not tracing is compiled in: it is protocol
+// data, and charging it unconditionally is what keeps the three telemetry
+// configs byte-identical.
+struct ManifestExchange {
+  uint64_t out = 0;
+  uint64_t back = 0;
+  uint64_t total() const { return out + back; }
+};
+
+ManifestExchange ManifestExchangeBytes(uint64_t n, bool framed) {
+  const uint64_t frame = framed ? kFrameHeaderSize : 0;
+  return {frame + 32 + 16 * n, frame + 8 + (n + 7) / 8};
 }
 
 // The cost model's CpuCost at `device`'s CPU speed.
@@ -257,7 +266,7 @@ Status MigrationManager::Prepare(const RunningApp& app,
   // 1. Background the app: resumed activities pause, then the task idler
   //    stops them and the WindowManager frees their surfaces.
   FLUX_RETURN_IF_ERROR(device.activity_manager().MoveAppToBackground(app.pid));
-  clock.Advance(device.activity_manager().idle_stop_delay());
+  AdvanceWithTicks(clock.now() + device.activity_manager().idle_stop_delay());
   device.activity_manager().RunTaskIdler();
 
   // 2. Trim memory at the highest severity: flush renderer caches, destroy
@@ -375,7 +384,9 @@ Result<MigrationManager::PlannedCut> MigrationManager::BuildPayload(
       DedupStats& dedup = report.dedup;
       dedup.enabled = true;
       dedup.chunk_count = static_cast<uint32_t>(planned->hashes.size());
-      dedup.manifest_wire_bytes = ManifestWireBytes(planned->hashes.size());
+      dedup.manifest_wire_bytes =
+          ManifestExchangeBytes(planned->hashes.size(), /*framed=*/false)
+              .total();
       ChunkCache& home_cache = home_.chunk_cache();
       for (size_t i = 0; i < planned->hashes.size(); ++i) {
         const uint64_t begin = uint64_t{i} * kMigrationChunkBytes;
@@ -701,6 +712,9 @@ bool MigrationManager::AdvanceWithTicks(SimTime target, WifiNetwork* watch) {
     const SimDuration step =
         std::min<SimDuration>(kTransferTick, target - clock.now());
     clock.Advance(step);
+    if (watch != nullptr) {
+      watch->CountTick(step);
+    }
     if (precopy_mutator_) {
       // Pre-copy rounds only: the app is still running at home and keeps
       // dirtying its heap while chunks stream.
@@ -757,16 +771,15 @@ Status MigrationManager::AdvanceStream(ChunkStream& stream, SimTime target,
 
     // The handshake (PROTOCOL.md §8): one kResumeOffer frame carrying the
     // manifest out, one kResumeAck frame carrying the availability bitmap
-    // back. Same shape as the dedup manifest exchange, plus frame headers;
-    // the offer header carries the 16-byte trace-context field (§7.1), so
-    // the resumed transfer re-joins the same causal trace on the guest.
-    const uint64_t n = stream.manifest.size();
-    const uint64_t offer_bytes = kFrameHeaderSize + 32 + 16 * n;
-    const uint64_t ack_bytes = kFrameHeaderSize + 8 + (n + 7) / 8;
-    const SimDuration handshake = wifi.TransferTime(offer_bytes, link) +
-                                  wifi.TransferTime(ack_bytes, link);
+    // back. Same shape as the dedup manifest exchange, always framed; the
+    // offer header carries the 16-byte trace-context field (§7.1), so the
+    // resumed transfer re-joins the same causal trace on the guest.
+    const ManifestExchange offer =
+        ManifestExchangeBytes(stream.manifest.size(), /*framed=*/true);
+    const SimDuration handshake = wifi.TransferTime(offer.out, link) +
+                                  wifi.TransferTime(offer.back, link);
     AdvanceWithTicks(clock.now() + handshake);
-    res.handshake_wire_bytes += offer_bytes + ack_bytes;
+    res.handshake_wire_bytes += offer.total();
 
     // The ack: chunks the guest's cache already holds — everything
     // delivered before the outage plus anything warm from earlier hops —
@@ -789,7 +802,7 @@ Status MigrationManager::AdvanceStream(ChunkStream& stream, SimTime target,
 
     // The rest of the stream shifts by the stall, the handshake and the
     // in-flight re-send.
-    stream.extra_wire += offer_bytes + ack_bytes + resend_wire;
+    stream.extra_wire += offer.total() + resend_wire;
     stream.extra += (stall.end - stall.begin) +
                     (resend_wire > 0
                          ? wifi.TransferTime(resend_wire, link) - link.latency
@@ -802,30 +815,28 @@ Status MigrationManager::Transfer(const RunningApp& app, const AppSpec& spec,
                                   uint64_t payload_bytes,
                                   MigrationReport& report) {
   Device& home_device = *app.device;
-  Device& guest_device = guest_.device();
-  ScopedTimer timer(home_device.clock(), report.transfer);
+  SimClock& clock = home_device.clock();
+  WifiNetwork& wifi = home_device.wifi();
+  ScopedTimer timer(clock, report.transfer);
 
-  if (!home_device.wifi().UpAt(home_device.clock().now())) {
+  if (!wifi.UpAt(clock.now())) {
     return Unavailable("network unreachable during migration transfer");
   }
   FLUX_ASSIGN_OR_RETURN(AppDataSync sync, SyncAppData(app, spec, report));
   report.data_sync_bytes = sync.total();
   report.total_wire_bytes = report.data_sync_bytes + payload_bytes;
 
-  const EffectiveLink link = home_device.wifi().LinkBetween(
-      home_device.profile().radio, guest_device.profile().radio);
-  // The world keeps moving while bytes are in flight: advance in slices,
-  // ticking both devices so task idlers run and due alarms fire at the
-  // right simulated time.
-  const bool delivered = home_device.wifi().TransferWithTicks(
-      home_device.clock(), report.total_wire_bytes, link, kTransferTick,
-      [&home_device, &guest_device] {
-        home_device.Tick();
-        guest_device.Tick();
-      });
-  if (!delivered) {
+  const EffectiveLink link = wifi.LinkBetween(home_device.profile().radio,
+                                              guest_.device().profile().radio);
+  // One monolithic transfer, walked like every other wait: the world keeps
+  // moving while the bytes are in flight, and the link is watched at every
+  // slice boundary.
+  if (!AdvanceWithTicks(
+          clock.now() + wifi.TransferTime(report.total_wire_bytes, link),
+          &wifi)) {
     return Unavailable("network lost mid-transfer; payload incomplete");
   }
+  wifi.AccountTransfer(report.total_wire_bytes, link);
   return OkStatus();
 }
 
@@ -951,30 +962,10 @@ Result<SimTime> MigrationManager::TransferPipelined(const RunningApp& app,
   if (config_.resume) {
     report.resume.enabled = true;
   }
-
-  // The pipeline's time origin: checkpoint work (serialize + compress) was
-  // deferred by BuildPayload and is charged from here via the schedule, so
-  // the checkpoint interval stamped there collapses to ~0 and gets
-  // re-stamped below.
-  SimTime t0 = clock.now();
-  if (!wifi.UpAt(t0)) {
-    // Resume mode treats a recoverable outage at entry like one mid-stream:
-    // wait it out, then start the pipeline at recovery.
-    SimTime recovery = 0;
-    if (!config_.resume || !wifi.NextUpAt(t0, &recovery) ||
-        recovery - t0 > static_cast<SimTime>(config_.resume_wait_max)) {
-      return Unavailable("network unreachable during migration transfer");
-    }
-    AdvanceWithTicks(recovery);
-    t0 = clock.now();
-  }
-
-  // APK verification + data sync run first on the wire, concurrent with
-  // home-side serialization of the early chunks: they are the wire stage's
-  // initial busy period.
-  FLUX_ASSIGN_OR_RETURN(AppDataSync sync, SyncAppData(app, spec, report));
-  report.data_sync_bytes = sync.total();
-  const SimDuration sync_elapsed = clock.now() - t0;
+  // Dedup's manifest handshake, as two control frames (kManifest +
+  // kManifestAck) under a profile.
+  const ManifestExchange manifest =
+      ManifestExchangeBytes(report.dedup.chunk_count, shaped);
 
   const EffectiveLink link = wifi.LinkBetween(home_device.profile().radio,
                                               guest_device.profile().radio);
@@ -1040,6 +1031,26 @@ Result<SimTime> MigrationManager::TransferPipelined(const RunningApp& app,
     }
   }
 
+  // The pipeline's time origin: checkpoint work (serialize + compress) was
+  // deferred by BuildPayload and is charged from here via the schedule, so
+  // the checkpoint interval stamped there collapses to ~0 and gets
+  // re-stamped below. A link that is down here is an ordinary stall of the
+  // stream: without resume it aborts, with it the stream rides the outage
+  // out, and the stall stays in the checkpoint interval.
+  const SimTime t0 = clock.now();
+  FLUX_RETURN_IF_ERROR(AdvanceStream(stream, t0, /*resend_wire=*/0, report));
+  // The schedule's offsets count from `start`, which is t0 shifted by that
+  // stall (`stream.extra` so far). StreamChunks and the drain deadline keep
+  // counting from t0: every stall, this one included, is in stream.extra.
+  const SimTime start = clock.now();
+
+  // APK verification + data sync run first on the wire, concurrent with
+  // home-side serialization of the early chunks: they are the wire stage's
+  // initial busy period.
+  FLUX_ASSIGN_OR_RETURN(AppDataSync sync, SyncAppData(app, spec, report));
+  report.data_sync_bytes = sync.total();
+  const SimDuration sync_elapsed = clock.now() - start;
+
   // The wire is busy before chunk 0 can stream: the sync protocol itself
   // (already on the clock — `sync_elapsed` covers the APK verification
   // exchange), then the data-sync bytes + non-image payload prefix still
@@ -1060,15 +1071,8 @@ Result<SimTime> MigrationManager::TransferPipelined(const RunningApp& app,
     // overlaps the data sync on the same link and the home-side fill of
     // chunk 0 (hashing finishes before compression begins), so it delays
     // the stream only when it outlasts both.
-    // 32-byte manifest header: framing fields + the 16-byte trace-context
-    // field (PROTOCOL.md §7.1), matching ManifestWireBytes above.
-    const uint64_t hashes_out = 32 + 16 * uint64_t{report.dedup.chunk_count} +
-                                (shaped ? kFrameHeaderSize : 0);
-    const uint64_t bitmap_back = 8 +
-                                 (uint64_t{report.dedup.chunk_count} + 7) / 8 +
-                                 (shaped ? kFrameHeaderSize : 0);
-    report.dedup.manifest_rtt = wifi.TransferTime(hashes_out, link) +
-                                wifi.TransferTime(bitmap_back, link);
+    report.dedup.manifest_rtt = wifi.TransferTime(manifest.out, link) +
+                                wifi.TransferTime(manifest.back, link);
     const StreamChunk c0 = count > 0 ? stream.chunks[0] : StreamChunk{};
     const ChunkCpuCosts cost0 = ChunkCosts(home_device, guest_device,
                                            c0.raw_bytes, c0.kind,
@@ -1088,7 +1092,7 @@ Result<SimTime> MigrationManager::TransferPipelined(const RunningApp& app,
   // Now walk the simulated clock along the schedule. The checkpoint
   // interval (home-side fill) ends when chunk 0 is compressed and ready to
   // ship; everything after that is perceived as transfer.
-  AdvanceWithTicks(t0 + plan.stages[kCompressStage].first_finish);
+  AdvanceWithTicks(start + plan.stages[kCompressStage].first_finish);
   report.checkpoint.end = clock.now();
   report.transfer.begin = clock.now();
 
@@ -1098,9 +1102,9 @@ Result<SimTime> MigrationManager::TransferPipelined(const RunningApp& app,
   // the wire by design; it is a contained detail, not a sixth timeline
   // phase (Total() stays the sum of the five + tail).
   if (count > 0 && plan.stages[kCompressStage].busy > 0) {
-    report.compress.begin = t0 + plan.finish[kCompressStage][0] -
+    report.compress.begin = start + plan.finish[kCompressStage][0] -
                             stages[kCompressStage].chunk_cost[0];
-    report.compress.end = t0 + plan.stages[kCompressStage].finish;
+    report.compress.end = start + plan.stages[kCompressStage].finish;
   } else {
     report.compress.begin = report.checkpoint.end;
     report.compress.end = report.checkpoint.end;
@@ -1123,7 +1127,7 @@ Result<SimTime> MigrationManager::TransferPipelined(const RunningApp& app,
           continue;
         }
         hist->Record(static_cast<uint64_t>(cost));
-        const SimTime end = t0 + plan.finish[s][i];
+        const SimTime end = start + plan.finish[s][i];
         trace->EmitSpanOnTrack("chunk " + std::to_string(i), track,
                                end - cost, end);
       }
@@ -1140,11 +1144,10 @@ Result<SimTime> MigrationManager::TransferPipelined(const RunningApp& app,
   // wire traffic even though its latency mostly hides under the data sync.
   // Under a profile every component is charged framed: chunks per chunk,
   // the non-image prefix as one stream, and the manifest as two control
-  // frames (kManifest + kManifestAck).
+  // frames.
   const uint64_t foreground_wire =
-      report.data_sync_bytes + Charged(prefix_payload) +
-      stream.wire_bytes + report.dedup.manifest_wire_bytes +
-      (shaped && report.dedup.enabled ? 2 * kFrameHeaderSize : 0);
+      report.data_sync_bytes + Charged(prefix_payload) + stream.wire_bytes +
+      (report.dedup.enabled ? manifest.total() : 0);
   wifi.AccountTraffic(foreground_wire + stream.extra_wire);
   report.total_wire_bytes = foreground_wire + stream.extra_wire;
   report.transfer.end = clock.now();
@@ -1606,7 +1609,7 @@ Result<MigrationReport> MigrationManager::Migrate(const RunningApp& app,
         report.restore.duration() + report.reintegrate.duration();
     report.background_tail =
         std::max<SimDuration>(0, report.background_transfer - overlap);
-    home_device.clock().Advance(report.background_tail);
+    AdvanceWithTicks(home_device.clock().now() + report.background_tail);
     report.total_wire_bytes += report.deferred_bytes;
   }
 

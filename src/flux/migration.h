@@ -39,10 +39,10 @@ namespace flux {
 
 class ThreadPool;
 
-// During long transfers the world keeps moving: the clock advances in
-// slices of at most this, ticking both devices (task idlers, due alarms) at
-// each boundary. Like the stage costs, chunk size and compress fan-out of
-// the shared cost model (cost_model.h), it is not configurable.
+// Through every migration wait the world keeps moving: the clock advances
+// in slices of at most this, ticking both devices (task idlers, due alarms)
+// at each boundary. Like the stage costs, chunk size and compress fan-out
+// of the shared cost model (cost_model.h), it is not configurable.
 inline constexpr SimDuration kTransferTick = Millis(250);
 
 struct MigrationConfig {
@@ -195,7 +195,7 @@ struct FrameWireStats {
 // migration rode out instead of rolling back.
 struct ResumeStats {
   bool enabled = false;
-  uint32_t interruptions = 0;     // outages observed mid-stream
+  uint32_t interruptions = 0;     // outages observed at entry or mid-stream
   uint32_t attempts = 0;          // resume handshakes completed
   uint32_t chunks_acked = 0;      // manifest chunks the guest already held
   uint64_t handshake_wire_bytes = 0;
@@ -352,9 +352,10 @@ class MigrationManager {
   // advanced for them (shared by both transfer paths).
   Result<AppDataSync> SyncAppData(const RunningApp& app, const AppSpec& spec,
                                   MigrationReport& report);
-  // Pipelined mode: data sync + the stop-and-copy chunk stream. Fills
-  // report.pipeline, re-stamps the checkpoint/transfer intervals with the
-  // overlapped boundaries, and returns the end of the overlapped guest
+  // Pipelined mode: data sync + the stop-and-copy chunk stream. A link
+  // that is down at entry is the stream's first stall (AdvanceStream).
+  // Fills report.pipeline, re-stamps the checkpoint/transfer intervals with
+  // the overlapped boundaries, and returns the end of the overlapped guest
   // stages, which RestoreOnGuest drains to.
   Result<SimTime> TransferPipelined(const RunningApp& app, const AppSpec& spec,
                                     PlannedCut& cut, LinkShaper* shaper,
@@ -436,9 +437,12 @@ class MigrationManager {
                                                  const MigrationReport& report);
 
   // Advances the shared clock to `target` in kTransferTick slices, ticking
-  // both devices at each boundary so their timers observe time passing.
-  // With `watch` set, stops early and returns false if the network is down
-  // at a slice boundary; returns true once `target` is reached.
+  // both devices at each boundary so their timers observe time passing. It
+  // is the only code in the manager that moves the clock through a wait.
+  // With `watch` set — bytes are on that link — each slice is counted there
+  // (net.transfer_ticks, net.tick_us), and the walk stops early and returns
+  // false if the network is down at a slice boundary; returns true once
+  // `target` is reached.
   bool AdvanceWithTicks(SimTime target, WifiNetwork* watch = nullptr);
 
   // Stamps the finished report's phase intervals into config_.trace as

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "src/base/hash.h"
+#include "src/base/strings.h"
 
 namespace flux {
 namespace {
@@ -51,33 +52,9 @@ TraceHistogram::Snapshot HistogramDelta(const TimeSeriesSampler& sampler,
   return d;
 }
 
-void AppendEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 std::string JsonStr(std::string_view s) {
   std::string out = "\"";
-  AppendEscaped(out, s);
+  AppendJsonEscaped(out, s);
   out += "\"";
   return out;
 }
@@ -606,40 +583,6 @@ std::string TimeSeriesJson(const TimeSeriesExport& exp) {
   return out;
 }
 
-std::string OpenMetricsText(const TimeSeriesExport& exp) {
-  std::string out;
-  std::set<std::string> typed;
-  auto metric_name = [](std::string_view counter) {
-    std::string name = "flux_";
-    for (char c : counter) {
-      name += (c == '.' || c == '-') ? '_' : c;
-    }
-    name += "_total";
-    return name;
-  };
-  for (const TimeSeriesExport::Series& series : exp.series) {
-    if (series.sampler == nullptr) {
-      continue;
-    }
-    for (const TelemetrySample& s : series.sampler->samples()) {
-      const auto& counter_names = series.sampler->counter_names();
-      for (size_t i = 0; i < s.counters.size(); ++i) {
-        const uint64_t value = s.counters[i];
-        const std::string name = metric_name(counter_names[i]);
-        if (typed.insert(name).second) {
-          out += "# TYPE " + name + " counter\n";
-        }
-        out += name + "{series=\"";
-        AppendEscaped(out, series.label);
-        out += "\"} " + std::to_string(value) + " " +
-               Num(ToSecondsF(static_cast<SimDuration>(s.at))) + "\n";
-      }
-    }
-  }
-  out += "# EOF\n";
-  return out;
-}
-
 bool WriteTimeSeries(const TimeSeriesExport& exp, const char* path) {
   const std::string json = TimeSeriesJson(exp);
   std::ofstream out(path);
@@ -648,15 +591,7 @@ bool WriteTimeSeries(const TimeSeriesExport& exp, const char* path) {
     return false;
   }
   out << json;
-  const std::string om_path = std::string(path) + ".om";
-  std::ofstream om(om_path);
-  if (!om) {
-    std::fprintf(stderr, "cannot write OpenMetrics text to %s\n",
-                 om_path.c_str());
-    return false;
-  }
-  om << OpenMetricsText(exp);
-  std::fprintf(stderr, "time series written to %s (+.om, %zu bytes)\n", path,
+  std::fprintf(stderr, "time series written to %s (%zu bytes)\n", path,
                json.size());
   return true;
 }

@@ -22,11 +22,10 @@
 //     `slo.breach` flight events carrying the breaching window's context
 //     IDs, and renders a fleet health report.
 //
-// Exporters: a JSON time-series file (schema "flux.timeseries.v1", gated
-// by scripts/check_telemetry.py) and OpenMetrics-style text, both via
-// WriteTimeSeries. TracerStatsJson/WriteTracerStats (the end-of-run
-// `--stats-out` merge the bench harness wraps) also live here so unit
-// tests can link them without the harness.
+// Exporter: a JSON time-series file (schema "flux.timeseries.v1", gated
+// by scripts/check_telemetry.py) via WriteTimeSeries. TracerStatsJson/
+// WriteTracerStats (the end-of-run `--stats-out` merge the bench harness
+// wraps) also live here so unit tests can link them without the harness.
 //
 // Like trace/flight_recorder, this library depends only on flux_base.
 #ifndef FLUX_SRC_FLUX_TELEMETRY_H_
@@ -258,10 +257,7 @@ struct TimeSeriesExport {
 // Schema "flux.timeseries.v1" (OBSERVABILITY.md documents it; scripts/
 // check_telemetry.py gates it in CI).
 std::string TimeSeriesJson(const TimeSeriesExport& exp);
-// OpenMetrics-style text: one `flux_<counter>_total{series="..."} value
-// timestamp` line per counter per sample, sim-seconds timestamps.
-std::string OpenMetricsText(const TimeSeriesExport& exp);
-// Writes TimeSeriesJson to `path` and OpenMetricsText to `<path>.om`.
+// Writes TimeSeriesJson to `path`.
 bool WriteTimeSeries(const TimeSeriesExport& exp, const char* path);
 
 // ----- end-of-run stats merge (--stats-out) -----

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/base/strings.h"
+
 namespace flux {
 namespace {
 
@@ -20,33 +22,6 @@ int ThisThreadOrdinal() {
 // Per-thread RAII nesting depth (global, not per-tracer: a thread drives one
 // migration at a time, and cross-tracer nesting is not meaningful).
 thread_local int g_span_depth = 0;
-
-void AppendJsonEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 }  // namespace
 

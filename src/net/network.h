@@ -11,7 +11,6 @@
 #define FLUX_SRC_NET_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -178,17 +177,8 @@ class WifiNetwork {
   // Time for `bytes` over `link` including per-transfer handshake latency.
   SimDuration TransferTime(uint64_t bytes, const EffectiveLink& link) const;
 
-  // Advances `clock` by TransferTime and accounts the traffic.
+  // Advances `clock` by TransferTime and accounts the transfer.
   void Transfer(SimClock& clock, uint64_t bytes, const EffectiveLink& link);
-
-  // Advances `clock` through TransferTime(bytes) in slices no longer than
-  // `max_slice`, invoking `on_tick` at every slice boundary so devices can
-  // run their periodic work (task idlers, due alarms) while a long transfer
-  // is in flight. Returns false — with the remaining time not advanced and
-  // no traffic accounted — if the network goes down mid-transfer.
-  bool TransferWithTicks(SimClock& clock, uint64_t bytes,
-                         const EffectiveLink& link, SimDuration max_slice,
-                         const std::function<void()>& on_tick);
 
   // Accounts traffic without advancing any clock; pipelined migrations pace
   // the clock themselves from the stage schedule.
@@ -197,10 +187,19 @@ class WifiNetwork {
     FLUX_TRACE_COUNTER_ADD(trace_bytes_, bytes);
     FLUX_TRACE_COUNTER_ADD(trace_transfers_, 1);
   }
+  // AccountTraffic plus the net.transfer flight event of one completed
+  // transfer, for a caller that walked its airtime itself.
+  void AccountTransfer(uint64_t bytes, const EffectiveLink& link);
+  // Counts one world-tick slice of `step` that a migration walked while
+  // watching this link (net.transfer_ticks, net.tick_us).
+  void CountTick(SimDuration step) {
+    FLUX_TRACE_COUNTER_ADD(trace_ticks_, 1);
+    FLUX_TRACE_HIST_RECORD(hist_tick_, static_cast<uint64_t>(step));
+  }
 
   uint64_t total_bytes_carried() const { return total_bytes_; }
 
-  // Mirrors traffic accounting into net.* trace counters and the
+  // Mirrors traffic and tick accounting into net.* trace counters and the
   // net.tick_us slice-duration histogram (null detaches).
   void set_tracer(Tracer* tracer);
 

@@ -126,6 +126,13 @@ TEST(StringsTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(3 * 1024 * 1024), "3.0 MB");
 }
 
+// The one escaper behind the trace, telemetry and forensic JSON writers.
+TEST(StringsTest, AppendJsonEscaped) {
+  std::string out = "x";
+  AppendJsonEscaped(out, std::string_view("a\"b\\c\nd\te\rf\x01g", 13));
+  EXPECT_EQ(out, "xa\\\"b\\\\c\\nd\\te\\rf\\u0001g");
+}
+
 // ----- hashing -----
 
 TEST(HashTest, Fnv1aIsStable) {

@@ -2,11 +2,13 @@
 // end-to-end chunked migration (faster than serial, same bytes moved), the
 // composition with post-copy, rollback on mid-transfer outages and corrupt
 // payloads in both modes, and alarms firing at the right simulated time
-// while a long transfer is in flight.
+// through every migration wait: the transfer, Prepare's task-idler wait and
+// post-copy's background tail.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "src/apps/app_instance.h"
 #include "src/base/rng.h"
@@ -350,15 +352,47 @@ INSTANTIATE_TEST_SUITE_P(SerialAndPipelined, RollbackTest,
                            return param_info.param ? "Pipelined" : "Serial";
                          });
 
-class TransferAlarmTest : public ::testing::TestWithParam<bool> {};
+// The migration waits a guest alarm can fall due in: the wire transfer,
+// Prepare's task-idler wait, and post-copy's background tail.
+enum class MigrationWait { kTransfer, kPrepare, kPostCopyTail };
 
-// Regression: devices keep ticking while a long transfer is in flight, so
-// an alarm due mid-transfer fires at its trigger time (within one
-// kTransferTick slice), not after the migration completes.
-TEST_P(TransferAlarmTest, GuestAlarmFiresOnTimeDuringTransfer) {
+class TransferAlarmTest
+    : public ::testing::TestWithParam<std::tuple<bool, MigrationWait>> {};
+
+// Regression: devices keep ticking through every migration wait, so an
+// alarm due mid-wait fires at its trigger time (within one kTransferTick
+// slice), not after the wait or the migration is over.
+TEST_P(TransferAlarmTest, GuestAlarmFiresOnTimeDuringWait) {
+  const auto [pipelined, wait] = GetParam();
   MigrationConfig config;
-  config.pipelined = GetParam();
-  const SimTime mid = ProbeTransferMidpoint("Candy Crush Saga", config);
+  config.pipelined = pipelined;
+  config.post_copy = wait == MigrationWait::kPostCopyTail;
+
+  // The wait's window, from a probe run in an identically booted world
+  // (the simulation is deterministic).
+  TimedInterval window;
+  {
+    TestWorld probe;
+    probe.Boot("Candy Crush Saga");
+    auto report = probe.Migrate(config);
+    ASSERT_TRUE(report.ok() && report->success);
+    switch (wait) {
+      case MigrationWait::kTransfer:
+        window = report->transfer;
+        break;
+      case MigrationWait::kPrepare:
+        window.begin = report->prepare.begin;
+        window.end = window.begin +
+                     probe.home->activity_manager().idle_stop_delay();
+        break;
+      case MigrationWait::kPostCopyTail:
+        ASSERT_GT(report->background_tail, 2 * kTransferTick);
+        window.begin = report->reintegrate.end;
+        window.end = window.begin + report->background_tail;
+        break;
+    }
+  }
+  const SimTime mid = window.begin + window.duration() / 2;
   ASSERT_GT(mid, 0);
 
   TestWorld tw;
@@ -381,19 +415,32 @@ TEST_P(TransferAlarmTest, GuestAlarmFiresOnTimeDuringTransfer) {
   auto report = tw.Migrate(config);
   ASSERT_TRUE(report.ok() && report->success);
 
-  ASSERT_GT(fired_at, 0) << "alarm never fired during the transfer";
+  ASSERT_GT(fired_at, 0) << "alarm never fired during the wait";
   EXPECT_GE(fired_at, mid);
   EXPECT_LE(fired_at - mid, kTransferTick)
       << "alarm fired " << ToSecondsF(fired_at - mid)
-      << " s late; devices not ticking during transfer";
-  EXPECT_LE(fired_at, report->transfer.end);
+      << " s late; devices not ticking during the wait";
+  EXPECT_LE(fired_at, window.end);
 }
 
-INSTANTIATE_TEST_SUITE_P(SerialAndPipelined, TransferAlarmTest,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& param_info) {
-                           return param_info.param ? "Pipelined" : "Serial";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    SerialAndPipelined, TransferAlarmTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(MigrationWait::kTransfer,
+                                         MigrationWait::kPrepare,
+                                         MigrationWait::kPostCopyTail)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, MigrationWait>>&
+           param_info) {
+      std::string name =
+          std::get<0>(param_info.param) ? "Pipelined" : "Serial";
+      const MigrationWait wait = std::get<1>(param_info.param);
+      if (wait == MigrationWait::kPrepare) {
+        name += "Prepare";
+      } else if (wait == MigrationWait::kPostCopyTail) {
+        name += "PostCopyTail";
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace flux

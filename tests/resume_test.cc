@@ -141,6 +141,53 @@ TEST(ResumeTest, OutageAtEveryChunkBoundaryRestoresByteIdentically) {
   }
 }
 
+// A link that is down when the stop-and-copy starts is the stream's first
+// stall: counted, handshaken and recorded like one mid-stream, and booked
+// in the checkpoint interval ahead of the data sync.
+TEST(ResumeTest, OutageAtTransferEntryIsAResumeStall) {
+  // The stop-and-copy starts with the data sync.
+  SimTime entry = 0;
+  Hash128 image_hash;
+  {
+    ResumeWorld base;
+    base.Boot(kApp);
+    auto hop = base.Hop(ResumeConfig());
+    ASSERT_TRUE(hop.ok() && hop->success) << hop.status().ToString();
+    entry = hop->data_sync.begin;
+    image_hash = hop->image_hash;
+  }
+
+  ResumeWorld tw;
+  tw.Boot(kApp);
+  tw.world.wifi().ScheduleOutageWindow(entry - Millis(1), Seconds(2));
+  auto hop = tw.Hop(ResumeConfig());
+  ASSERT_TRUE(hop.ok()) << hop.status().ToString();
+  ASSERT_TRUE(hop->success) << hop->refusal_reason;
+  EXPECT_EQ(hop->resume.interruptions, 1u);
+  EXPECT_EQ(hop->resume.attempts, 1u);
+  ASSERT_EQ(hop->resume.stalls.size(), 1u);
+  const TimedInterval& stall = hop->resume.stalls[0];
+  EXPECT_EQ(stall.begin, entry);
+  EXPECT_GE(stall.duration(), Seconds(2) - Millis(1));
+  EXPECT_EQ(hop->resume.stalled, stall.duration());
+  EXPECT_LE(stall.end, hop->data_sync.begin);
+  EXPECT_LE(stall.end, hop->checkpoint.end);
+  EXPECT_EQ(hop->image_hash, image_hash);
+  EXPECT_EQ(hop->restored_image_hash, image_hash);
+
+  // Without resume the same outage still aborts to a rollback.
+  ResumeWorld off;
+  off.Boot(kApp);
+  off.world.wifi().ScheduleOutageWindow(entry - Millis(1), Seconds(2));
+  MigrationConfig config;
+  config.pipelined = true;
+  config.chunk_dedup = true;
+  auto aborted = off.Hop(config);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(off.a->kernel().FindProcess(off.running.pid), nullptr);
+}
+
 TEST(ResumeTest, ResumeDisabledOutageStillRollsBack) {
   // First learn where the transfer happens with the same (pipelined+dedup)
   // configuration, resume off.
