@@ -2,11 +2,13 @@
 // paths — Binder transactions with and without the Flux record engine
 // interposed (the implementation-level version of Figure 16's claim),
 // parcel marshalling, synthetic content generation, the LZ codec,
-// FluxHash128, the chunk cache's verified probes and ref resolution, and
-// CRIA checkpoint/restore throughput.
+// FluxHash128, the chunk cache's verified probes and ref resolution, the
+// fleet's small-entry caches, and CRIA checkpoint/restore throughput.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/apps/app_instance.h"
 #include "src/base/compress.h"
@@ -273,6 +275,49 @@ void BM_LzDecompressChunksRefs(benchmark::State& state) {
                           static_cast<int64_t>(image.size()));
 }
 BENCHMARK(BM_LzDecompressChunksRefs)->Arg(0)->Arg(4)->UseRealTime();
+
+void BM_ChunkCacheSmallEntries(benchmark::State& state) {
+  // The fleet coordinator's shape (DESIGN.md §11): one cache per modeled
+  // device, each holding about 45 seed entries of about 12 bytes. One
+  // iteration builds 1,000 such caches, inserts their entries, probes each
+  // entry twice (placement, then the cut) and destroys the caches. The
+  // destruction is timed whole: freeing many small blocks costs wherever
+  // the allocator happens to pay it.
+  constexpr size_t kCaches = 1000;
+  constexpr size_t kEntries = 45;
+  std::vector<std::string> seeds;
+  std::vector<Hash128> keys;
+  for (size_t c = 0; c < kCaches; ++c) {
+    for (size_t e = 0; e < kEntries; ++e) {
+      seeds.push_back("app" + std::to_string(c) + "/" + std::to_string(e) +
+                      "/" + std::to_string(e % 3));
+      keys.push_back(FluxHash128(
+          ByteSpan(reinterpret_cast<const uint8_t*>(seeds.back().data()),
+                   seeds.back().size())));
+    }
+  }
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<ChunkCache>> caches;
+    caches.reserve(kCaches);
+    for (size_t c = 0; c < kCaches; ++c) {
+      caches.push_back(std::make_unique<ChunkCache>(256 * 1024));
+      for (size_t i = c * kEntries; i < (c + 1) * kEntries; ++i) {
+        caches.back()->Insert(
+            keys[i], ByteSpan(reinterpret_cast<const uint8_t*>(seeds[i].data()),
+                              seeds[i].size()));
+      }
+    }
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < keys.size(); ++i) {
+        benchmark::DoNotOptimize(caches[i / kEntries]->HasValid(keys[i]));
+      }
+    }
+    caches.clear();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(keys.size()));
+}
+BENCHMARK(BM_ChunkCacheSmallEntries);
 
 // A launched app with a `heap_bytes` heap, its graphics state shed so a
 // checkpoint is legal.

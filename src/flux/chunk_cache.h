@@ -17,14 +17,23 @@
 // container's refs fetched at once (ChunkCacheRefSource); both move the
 // re-hashes onto a worker pool but keep every effect of a HasValid or
 // Fetch loop. Eviction is LRU by bytes against a per-device budget.
+//
+// Layout. A cache is one slot array and one index, not a node per entry:
+// the fleet coordinator keeps one cache per modeled device, 100k of them,
+// holding millions of entries of about a dozen bytes each. A slot holds an
+// entry's key, its content and two uint32_t LRU links; dropped slots are
+// reused through a free list. The index is an open-addressing table of slot
+// ids (linear probing, backward-shift deletion, doubled at half load). An
+// entry's content lives inside its slot up to Content::kInlineBytes (the
+// fleet's seed strings) and in one heap buffer above that (the migration
+// path's 256 KiB chunks). An empty cache allocates nothing.
 #ifndef FLUX_SRC_FLUX_CHUNK_CACHE_H_
 #define FLUX_SRC_FLUX_CHUNK_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/bytes.h"
@@ -87,10 +96,12 @@ class ChunkCache {
   // content in between. VerifyBatch re-hashes every entry `hashes` names on
   // `pool`'s static split and returns, per position, a view of the entry's
   // content if it still matches its key (empty for a missing or poisoned
-  // entry); it changes nothing. A view stays valid until its entry is
-  // dropped or re-inserted. SettleBatch then applies, on the calling thread
-  // and in list order, exactly what a HasValid (or Fetch) loop over
-  // `hashes` would, given those verdicts, and returns the flags.
+  // entry); it changes nothing. A view stays valid until the next call that
+  // modifies the cache: content may live inside the slot array, which an
+  // insert can move. SettleBatch then applies, on the calling thread and in
+  // list order, exactly what a HasValid (or Fetch) loop over `hashes`
+  // would, given those verdicts, and returns the flags; it reads only
+  // whether each view is set.
   std::vector<std::optional<ByteSpan>> VerifyBatch(
       std::span<const Hash128> hashes, ThreadPool* pool) const;
   std::vector<uint8_t> SettleBatch(
@@ -110,7 +121,7 @@ class ChunkCache {
   void set_budget_bytes(uint64_t budget_bytes);
   uint64_t budget_bytes() const { return budget_bytes_; }
   uint64_t bytes() const { return bytes_; }
-  size_t entries() const { return index_.size(); }
+  size_t entries() const { return entries_; }
   const Stats& stats() const { return stats_; }
 
   // Mirrors the Stats increments into cache.* trace counters (null
@@ -133,25 +144,75 @@ class ChunkCache {
   std::vector<Hash128> Keys() const;
 
  private:
-  struct Entry {
-    Hash128 hash;
-    Bytes content;
-  };
-  using Lru = std::list<Entry>;
-  using Index = std::unordered_map<Hash128, Lru::iterator, Hash128Hasher>;
+  static constexpr uint32_t kNil = ~uint32_t{0};
 
-  // Whether the entry's content still hashes to its key.
-  static bool Intact(const Entry& entry);
-  // Applies one probe's outcome as HasValid does: a miss when `it` is the
-  // end, a most-recent bump when `intact`, a verify-failure drop otherwise.
+  // One entry's content: inside the holder up to kInlineBytes, else in one
+  // heap buffer.
+  class Content {
+   public:
+    static constexpr size_t kInlineBytes = 24;
+
+    Content() = default;
+    explicit Content(ByteSpan bytes);
+    Content(const Content& other) : Content(other.view()) {}
+    Content(Content&& other) noexcept { Take(other); }
+    Content& operator=(const Content& other) {
+      return *this = Content(other.view());
+    }
+    Content& operator=(Content&& other) noexcept;
+    ~Content() { Release(); }
+
+    ByteSpan view() const { return ByteSpan(data(), size_); }
+    uint8_t* data() { return is_inline() ? inline_ : heap_; }
+    const uint8_t* data() const { return is_inline() ? inline_ : heap_; }
+    uint64_t size() const { return size_; }
+
+   private:
+    bool is_inline() const { return size_ <= kInlineBytes; }
+    void Take(Content& other) noexcept;
+    void Release();
+
+    uint64_t size_ = 0;
+    union {
+      uint8_t inline_[kInlineBytes] = {};
+      uint8_t* heap_;
+    };
+  };
+
+  struct Slot {
+    Hash128 hash;
+    Content content;
+    uint32_t newer = kNil;  // toward the most recently used entry
+    uint32_t older = kNil;  // toward the least; the free list's link
+  };
+
+  // Whether the slot's content still hashes to its key.
+  static bool Intact(const Slot& slot);
+  // Slot id of `hash`, or kNil.
+  uint32_t Find(const Hash128& hash) const;
+  // Index position holding `hash`, or the empty position where it belongs.
+  size_t Probe(const Hash128& hash) const;
+  // Stores a new entry most-recent.
+  void Add(const Hash128& hash, Content content);
+  // Unlinks the entry, removes it from the index and frees its slot.
+  void Drop(uint32_t id);
+  void Unlink(uint32_t id);
+  void LinkFront(uint32_t id);
+  void Grow();
+  // Applies one probe's outcome as HasValid does: a miss when `id` is kNil,
+  // a most-recent bump when `intact`, a verify-failure drop otherwise.
   // Returns whether the probe hit.
-  bool Settle(Index::iterator it, bool intact);
+  bool Settle(uint32_t id, bool intact);
   void EvictToBudget();
 
   uint64_t budget_bytes_;
   uint64_t bytes_ = 0;
-  Lru lru_;  // front = most recently used
-  Index index_;
+  size_t entries_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> index_;  // slot ids; size 0 or a power of two
+  uint32_t newest_ = kNil;
+  uint32_t oldest_ = kNil;
+  uint32_t free_ = kNil;  // head of the free-slot list
   Stats stats_;
   TraceCounter* trace_hits_ = nullptr;
   TraceCounter* trace_misses_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <unordered_set>
 #include <utility>
 
@@ -23,9 +24,33 @@ constexpr uint64_t kPairingWireBytes =
 // Cadence of dirty-write bursts while a migration's pre-cut window runs.
 constexpr SimDuration kDirtyBurstPeriod = Millis(500);
 
-ByteSpan AsBytes(const std::string& s) {
-  return ByteSpan(reinterpret_cast<const uint8_t*>(s.data()), s.size());
-}
+// Content-addressed chunk identity for (app, chunk index, generation): the
+// seed `name/chunk/generation` is the stored cache payload and its
+// FluxHash128 the key. One writer formats the seeds of one app into a
+// reused buffer, so a loop over an app's chunks builds no string per chunk.
+class ChunkSeeds {
+ public:
+  explicit ChunkSeeds(const std::string& app_name) : name_(app_name) {}
+
+  // The seed's bytes, valid until the next call.
+  ByteSpan Seed(uint32_t chunk, uint32_t generation) {
+    char tail[2 * (kMaxDigits + 1)];
+    char* end = tail;
+    *end++ = '/';
+    end = std::to_chars(end, end + kMaxDigits, chunk).ptr;
+    *end++ = '/';
+    end = std::to_chars(end, end + kMaxDigits, generation).ptr;
+    seed_.assign(name_).append(tail, end);
+    return ByteSpan(reinterpret_cast<const uint8_t*>(seed_.data()),
+                    seed_.size());
+  }
+
+ private:
+  static constexpr size_t kMaxDigits = 10;  // of a uint32_t
+
+  const std::string& name_;
+  std::string seed_;
+};
 
 }  // namespace
 
@@ -50,10 +75,10 @@ struct MigrationCoordinator::FleetApp {
   FleetAppSpec spec;
   FleetDeviceId home;
   std::vector<uint32_t> generations;  // sized lazily to ChunkCount
-  // Memoized ChunkHash(ChunkSeed(app, i, generations[i])), updated eagerly
-  // as AccrueDirt bumps generations. Placement probes and checkpoint cuts
-  // used to recompute these per probe — at 100k-fleet scale the seed
-  // formatting + hashing dominated the profile.
+  // Memoized key of chunk i at generations[i] (the FluxHash128 of its
+  // seed), updated eagerly as AccrueDirt bumps generations. Placement probes and
+  // checkpoint cuts used to recompute these per probe — at 100k-fleet scale
+  // the seed formatting + hashing dominated the profile.
   std::vector<Hash128> chunk_hashes;
   SimTime last_dirt_at = 0;
   uint64_t dirt_carry_bytes = 0;  // sub-chunk residue between accruals
@@ -74,7 +99,9 @@ struct MigrationCoordinator::PendingMigration {
   uint32_t chunks = 0;
   uint32_t warm_chunks = 0;
   SimDuration cpu_post = 0;
-  std::vector<std::string> seeds;  // per-chunk content at the cut
+  // Per-chunk generations and keys at the cut: a pairing can advance the
+  // app's generations before the migration completes.
+  std::vector<uint32_t> generations;
   std::vector<Hash128> hashes;
   ContendedFabric::FlowId flow = ContendedFabric::kInvalidFlow;
   EventId dirty_event;
@@ -148,22 +175,6 @@ uint32_t MigrationCoordinator::ShardOf(FleetDeviceId device) const {
   return device % static_cast<uint32_t>(scheduler_->shards());
 }
 
-std::string MigrationCoordinator::ChunkSeed(const FleetApp& app, uint32_t chunk,
-                                            uint32_t generation) {
-  std::string seed;
-  seed.reserve(app.spec.name.size() + 24);
-  seed.append(app.spec.name);
-  seed.push_back('/');
-  seed.append(std::to_string(chunk));
-  seed.push_back('/');
-  seed.append(std::to_string(generation));
-  return seed;
-}
-
-Hash128 MigrationCoordinator::ChunkHash(const std::string& seed) {
-  return FluxHash128(AsBytes(seed));
-}
-
 uint32_t MigrationCoordinator::ChunkCount(const FleetApp& app) {
   return static_cast<uint32_t>(std::max<uint64_t>(
       1, (app.spec.image_bytes + kMigrationChunkBytes - 1) /
@@ -172,11 +183,12 @@ uint32_t MigrationCoordinator::ChunkCount(const FleetApp& app) {
 
 void MigrationCoordinator::AccrueDirt(FleetApp& app, SimTime upto) {
   const uint32_t chunks = ChunkCount(app);
+  ChunkSeeds seeds(app.spec.name);
   if (app.generations.size() != chunks) {
     app.generations.assign(chunks, 0);
     app.chunk_hashes.resize(chunks);
     for (uint32_t i = 0; i < chunks; ++i) {
-      app.chunk_hashes[i] = ChunkHash(ChunkSeed(app, i, 0));
+      app.chunk_hashes[i] = FluxHash128(seeds.Seed(i, 0));
     }
   }
   if (upto <= app.last_dirt_at) {
@@ -198,8 +210,8 @@ void MigrationCoordinator::AccrueDirt(FleetApp& app, SimTime upto) {
   for (uint64_t i = 0; i < dirtied; ++i) {
     app.next_hot = (app.next_hot + 1) % hot;
     ++app.generations[app.next_hot];
-    app.chunk_hashes[app.next_hot] = ChunkHash(
-        ChunkSeed(app, app.next_hot, app.generations[app.next_hot]));
+    app.chunk_hashes[app.next_hot] =
+        FluxHash128(seeds.Seed(app.next_hot, app.generations[app.next_hot]));
   }
 }
 
@@ -448,17 +460,16 @@ void MigrationCoordinator::OnCheckpointCut(uint64_t migration_key) {
   // Manifest probe against the chosen guest: warm chunks ship as refs.
   const uint32_t chunks = ChunkCount(app);
   mig.chunks = chunks;
-  mig.seeds.reserve(chunks);
-  mig.hashes.reserve(chunks);
+  mig.generations = app.generations;
+  mig.hashes = app.chunk_hashes;
+  ChunkSeeds seeds(app.spec.name);
   for (uint32_t i = 0; i < chunks; ++i) {
-    mig.seeds.push_back(ChunkSeed(app, i, app.generations[i]));
-    mig.hashes.push_back(app.chunk_hashes[i]);
-    if (guest.cache.HasValid(mig.hashes.back())) {
+    if (guest.cache.HasValid(mig.hashes[i])) {
       ++mig.warm_chunks;
     }
     // The home just serialized this chunk, so its own store holds it —
     // that's what makes the return hop of a ping-pong find a warm cache.
-    home.cache.Insert(mig.hashes.back(), AsBytes(mig.seeds.back()));
+    home.cache.Insert(mig.hashes[i], seeds.Seed(i, mig.generations[i]));
   }
   FLUX_TRACE_COUNTER_ADD(ctr_probes_, chunks);
   FLUX_TRACE_COUNTER_ADD(ctr_warm_chunks_, mig.warm_chunks);
@@ -542,8 +553,9 @@ void MigrationCoordinator::OnMigrationDone(uint64_t migration_key) {
   // busy under this migration, so its cache is ours to warm.
   PendingMigration& mig = *pending_migrations_.at(migration_key);
   FleetDevice& guest = *devices_[mig.guest];
+  ChunkSeeds seeds(apps_[mig.app]->spec.name);
   for (uint32_t i = 0; i < mig.chunks; ++i) {
-    guest.cache.Insert(mig.hashes[i], AsBytes(mig.seeds[i]));
+    guest.cache.Insert(mig.hashes[i], seeds.Seed(i, mig.generations[i]));
   }
 }
 
@@ -641,9 +653,10 @@ void MigrationCoordinator::FinishPairing(uint64_t pairing_key) {
     }
     AccrueDirt(app, now());
     const uint32_t chunks = ChunkCount(app);
+    ChunkSeeds seeds(app.spec.name);
     for (uint32_t i = 0; i < chunks; ++i) {
-      const std::string seed = ChunkSeed(app, i, app.generations[i]);
-      devices_[target]->cache.Insert(app.chunk_hashes[i], AsBytes(seed));
+      devices_[target]->cache.Insert(app.chunk_hashes[i],
+                                     seeds.Seed(i, app.generations[i]));
     }
   }
   devices_[req.a]->busy = false;

@@ -187,11 +187,6 @@ class MigrationCoordinator {
   SimTime now() const { return scheduler_->clock().now(); }
   uint32_t ShardOf(FleetDeviceId device) const;
 
-  // Content-addressed chunk identity for (app, chunk index, generation):
-  // the seed string doubles as the stored cache payload.
-  static std::string ChunkSeed(const FleetApp& app, uint32_t chunk,
-                               uint32_t generation);
-  static Hash128 ChunkHash(const std::string& seed);
   static uint32_t ChunkCount(const FleetApp& app);
 
   // Applies the app's write load for the wall of time since its last

@@ -4,6 +4,7 @@
 // CI's sanitizer job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -346,6 +347,87 @@ TEST(CoordinatorTest, ThousandDeviceSmoke) {
     EXPECT_GE(home, static_cast<FleetDeviceId>(g * 4));
     EXPECT_LT(home, static_cast<FleetDeviceId>(g * 4 + 4));
   }
+}
+
+// The 1k-device fleet's simulated results, pinned exactly. The smoke above
+// ships no warm chunk (each app hops once, to a guest that never held it),
+// so this fleet adds what makes results depend on the chunk caches: a
+// pairing storm that seeds guests, return hops that find warm caches, dirty
+// writes that cool them, two apps per group competing for each cache, and
+// a budget small enough that eviction decides which chunks survive. A
+// change to which chunks hit or which are evicted moves these numbers.
+TEST(CoordinatorTest, ThousandDeviceSimIsPinned) {
+  CoordinatorConfig cfg;
+  cfg.max_concurrent_migrations = 16;
+  cfg.max_concurrent_pairings = 16;
+  Fleet fleet(cfg, 8);
+  constexpr int kDevices = 1000;
+  for (int a = 0; a < (kDevices + 63) / 64; ++a) {
+    fleet.fabric.AddAp("ap" + std::to_string(a), 150'000'000);
+  }
+  std::vector<FleetAppId> apps;
+  for (int g = 0; g < kDevices / 4; ++g) {
+    FleetDeviceId ids[4];
+    for (int d = 0; d < 4; ++d) {
+      FleetDeviceSpec spec;
+      spec.name = "d" + std::to_string(g * 4 + d);
+      spec.ap = static_cast<ContendedFabric::ApId>((g * 4 + d) / 64);
+      spec.link_peak_bps = 20'000'000 + ((g * 7 + d) % 5) * 4'000'000;
+      spec.cache_budget_bytes = 256;  // ~20 seeds: evicts at every scale
+      ids[d] = fleet.coord->AddDevice(spec);
+    }
+    for (int i = 0; i < 4; ++i) {
+      for (int j = i + 1; j < 4; ++j) {
+        if (g < 16) {
+          fleet.coord->RequestPairing(ids[i], ids[j]);
+        } else {
+          fleet.coord->MarkPaired(ids[i], ids[j]);
+        }
+      }
+    }
+    // Two apps per group share its devices' caches, so one app's probes
+    // and inserts decide which of the other's chunks are evicted.
+    apps.push_back(
+        fleet.App(ids[0], (1 + g % 8) << 20, (64 + 32 * (g % 5)) << 10));
+    apps.push_back(
+        fleet.App(ids[2], (2 + g % 5) << 20, (96 + 32 * (g % 3)) << 10));
+  }
+  uint64_t refused = 0;
+  for (size_t i = 0; i < apps.size(); ++i) {
+    const FleetAppId app = apps[i];
+    for (int hop = 0; hop < 3; ++hop) {
+      fleet.sched.ScheduleAt(
+          static_cast<SimTime>(Seconds(1 + hop * 8)) +
+              static_cast<SimTime>(Millis(static_cast<int64_t>(i) * 20)),
+          [&fleet, &refused, app] {
+            if (!fleet.coord->RequestMigration(app)) {
+              ++refused;
+            }
+          },
+          static_cast<uint32_t>(i % 8));
+    }
+  }
+  fleet.sched.DrainUntil(kForever);
+
+  const std::vector<FleetMigrationRecord>& done = fleet.coord->completed();
+  uint64_t wire_bytes = 0;
+  uint64_t warm_chunks = 0;
+  std::vector<SimDuration> waits;
+  for (const FleetMigrationRecord& rec : done) {
+    wire_bytes += rec.wire_bytes;
+    warm_chunks += rec.warm_chunks;
+    waits.push_back(rec.queue_wait());
+  }
+  std::sort(waits.begin(), waits.end());
+  ASSERT_FALSE(waits.empty());
+  EXPECT_EQ(done.size() + refused, 3 * apps.size());
+  EXPECT_EQ(fleet.coord->pairings_completed(), 96u);
+  EXPECT_EQ(done.size(), 689u);
+  EXPECT_EQ(refused, 811u);
+  EXPECT_EQ(wire_bytes, 1042263223u);
+  EXPECT_EQ(warm_chunks, 2781u);
+  EXPECT_EQ(waits[(waits.size() - 1) / 2], 27209857);        // p50, us
+  EXPECT_EQ(waits[(waits.size() - 1) * 99 / 100], 43047207);  // p99, us
 }
 
 // ----- Parallel-driver determinism (DESIGN.md §12) -----

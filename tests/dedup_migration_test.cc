@@ -6,14 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <list>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/apps/app_instance.h"
 #include "src/base/archive.h"
 #include "src/base/compress.h"
+#include "src/base/rng.h"
 #include "src/base/synthetic_content.h"
 #include "src/base/thread_pool.h"
 #include "src/device/world.h"
@@ -483,6 +486,320 @@ TEST(ChunkCacheTest, PooledRefDecodeSettlesLikeAFetchLoop) {
       }
     }
   }
+}
+
+// The list+map cache the slot array replaced, as a reference model: a list
+// in LRU order (front = most recent) searched linearly. It keeps what the
+// cache must keep observable: stats, bytes, entries, key order, and one
+// verify-failure event (content bytes, entries before the drop) per drop.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(uint64_t budget) : budget_(budget) {}
+
+  void Insert(const Hash128& hash, const Bytes& content) {
+    auto it = Find(hash);
+    if (it != lru_.end()) {
+      lru_.splice(lru_.begin(), lru_, it);
+      if (it->second != content) {
+        bytes_ -= it->second.size();
+        it->second = content;
+        bytes_ += content.size();
+      }
+      ++stats_.refreshes;
+      EvictToBudget();
+      return;
+    }
+    if (content.size() > budget_) {
+      return;
+    }
+    lru_.emplace_front(hash, content);
+    bytes_ += content.size();
+    ++stats_.insertions;
+    EvictToBudget();
+  }
+
+  bool HasValid(const Hash128& hash) {
+    auto it = Find(hash);
+    if (it == lru_.end()) {
+      ++stats_.misses;
+      return false;
+    }
+    if (FluxHash128(ByteSpan(it->second.data(), it->second.size())) !=
+        hash) {
+      ++stats_.verify_failures;
+      events_.emplace_back(it->second.size(), lru_.size());
+      Erase(it);
+      return false;
+    }
+    lru_.splice(lru_.begin(), lru_, it);
+    ++stats_.hits;
+    return true;
+  }
+
+  bool Fetch(const Hash128& hash, Bytes& out) {
+    if (!HasValid(hash)) {
+      return false;
+    }
+    out = lru_.front().second;
+    return true;
+  }
+
+  bool Remove(const Hash128& hash) {
+    auto it = Find(hash);
+    if (it == lru_.end()) {
+      return false;
+    }
+    Erase(it);
+    return true;
+  }
+
+  bool Poison(const Hash128& hash) {
+    auto it = Find(hash);
+    if (it == lru_.end() || it->second.empty()) {
+      return false;
+    }
+    it->second[0] ^= 0x01;
+    return true;
+  }
+
+  void Clear() {
+    lru_.clear();
+    bytes_ = 0;
+  }
+
+  void set_budget_bytes(uint64_t budget) {
+    budget_ = budget;
+    EvictToBudget();
+  }
+
+  std::vector<Hash128> Keys() const {
+    std::vector<Hash128> keys;
+    for (const auto& [hash, content] : lru_) {
+      keys.push_back(hash);
+    }
+    return keys;
+  }
+
+  const ChunkCache::Stats& stats() const { return stats_; }
+  uint64_t bytes() const { return bytes_; }
+  size_t entries() const { return lru_.size(); }
+  const std::vector<std::pair<uint64_t, uint64_t>>& events() const {
+    return events_;
+  }
+
+ private:
+  using Lru = std::list<std::pair<Hash128, Bytes>>;
+
+  Lru::iterator Find(const Hash128& hash) {
+    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+      if (it->first == hash) {
+        return it;
+      }
+    }
+    return lru_.end();
+  }
+
+  void Erase(Lru::iterator it) {
+    bytes_ -= it->second.size();
+    lru_.erase(it);
+  }
+
+  void EvictToBudget() {
+    while (bytes_ > budget_ && !lru_.empty()) {
+      bytes_ -= lru_.back().second.size();
+      lru_.pop_back();
+      ++stats_.evictions;
+    }
+  }
+
+  uint64_t budget_;
+  uint64_t bytes_ = 0;
+  Lru lru_;
+  ChunkCache::Stats stats_;
+  std::vector<std::pair<uint64_t, uint64_t>> events_;
+};
+
+// A content whose key homes at `home` in every index of up to 1024
+// positions (the index places a key at Hash128Hasher's low bits): keys
+// that home at the last position make probe chains wrap the table end.
+Bytes ContentHomedAt(Rng& rng, size_t size, size_t home) {
+  Bytes content(size);
+  while (true) {
+    for (uint8_t& byte : content) {
+      byte = static_cast<uint8_t>(rng.NextBelow(256));
+    }
+    const Hash128 key = FluxHash128(ByteSpan(content.data(), content.size()));
+    if ((Hash128Hasher{}(key) & 1023) == home) {
+      return content;
+    }
+  }
+}
+
+// A seeded sequence of every cache operation against the reference model.
+// Inline (<= 24 bytes) and heap contents mix; a third of the keys home at
+// the index's last, first or second position, so chains wrap the table end
+// and drops land inside chains (backward-shift deletion).
+TEST(ChunkCacheTest, MatchesTheListAndMapModel) {
+  Rng rng(0xcac4e);
+  std::vector<Bytes> contents;
+  for (int i = 0; i < 48; ++i) {
+    const size_t size = i == 0 ? 0
+                        : i % 2 != 0 ? 1 + rng.NextBelow(30)
+                                     : 25 + rng.NextBelow(300);
+    if (i % 3 == 0 && size >= 4) {
+      constexpr size_t kHomes[] = {1023, 0, 1};
+      contents.push_back(ContentHomedAt(rng, size, kHomes[(i / 3) % 3]));
+      continue;
+    }
+    Bytes content(size);
+    for (uint8_t& byte : content) {
+      byte = static_cast<uint8_t>(rng.NextBelow(256));
+    }
+    contents.push_back(std::move(content));
+  }
+  std::vector<Hash128> keys;
+  for (const Bytes& content : contents) {
+    keys.push_back(FluxHash128(ByteSpan(content.data(), content.size())));
+  }
+  auto span = [](const Bytes& bytes) {
+    return ByteSpan(bytes.data(), bytes.size());
+  };
+
+  constexpr uint64_t kBudget = 2000;
+  FlightRecorder events(nullptr, 4096);
+  events.set_enabled(true);
+  ChunkCache cache(kBudget);
+  cache.set_flight_recorder(&events);
+  ReferenceCache model(kBudget);
+  ThreadPool pool(4);
+  for (int step = 0; step < 4000; ++step) {
+    const size_t k = rng.NextBelow(keys.size());
+    const uint64_t op = rng.NextBelow(100);
+    std::string what;
+    if (op < 30) {
+      what = "insert";
+      cache.Insert(keys[k], span(contents[k]));
+      model.Insert(keys[k], contents[k]);
+    } else if (op < 35) {
+      what = "insert changed content";
+      const Bytes& other = contents[rng.NextBelow(contents.size())];
+      cache.Insert(keys[k], span(other));
+      model.Insert(keys[k], other);
+    } else if (op < 37) {
+      what = "insert over budget";
+      const Bytes huge(kBudget + 1 + rng.NextBelow(64), 0x5a);
+      const Hash128 key =
+          rng.NextBelow(2) == 0 ? keys[k] : FluxHash128(span(huge));
+      cache.Insert(key, span(huge));
+      model.Insert(key, huge);
+    } else if (op < 55) {
+      what = "has valid";
+      EXPECT_EQ(cache.HasValid(keys[k]), model.HasValid(keys[k]));
+    } else if (op < 67) {
+      what = "has valid batch";
+      std::vector<Hash128> probes;
+      for (uint64_t n = 1 + rng.NextBelow(8); n > 0; --n) {
+        probes.push_back(keys[rng.NextBelow(keys.size())]);
+      }
+      probes.push_back(probes.front());  // a key listed twice
+      std::vector<uint8_t> want;
+      for (const Hash128& key : probes) {
+        want.push_back(model.HasValid(key) ? 1 : 0);
+      }
+      EXPECT_EQ(cache.HasValidBatch(probes, step % 2 == 0 ? &pool : nullptr),
+                want);
+    } else if (op < 77) {
+      what = "fetch";
+      Bytes got;
+      Bytes want;
+      const bool hit = cache.Fetch(keys[k], got);
+      EXPECT_EQ(hit, model.Fetch(keys[k], want));
+      if (hit) {
+        EXPECT_EQ(got, want);
+      }
+    } else if (op < 87) {
+      what = "remove";
+      EXPECT_EQ(cache.Remove(keys[k]), model.Remove(keys[k]));
+    } else if (op < 95) {
+      what = "poison";
+      EXPECT_EQ(cache.PoisonForTest(keys[k]), model.Poison(keys[k]));
+    } else if (op < 99) {
+      what = "budget change";
+      const uint64_t budget = 200 + rng.NextBelow(kBudget);
+      cache.set_budget_bytes(budget);
+      model.set_budget_bytes(budget);
+    } else {
+      what = "clear";
+      cache.Clear();
+      model.Clear();
+    }
+    SCOPED_TRACE("step " + std::to_string(step) + ": " + what);
+    const ChunkCache::Stats& got = cache.stats();
+    const ChunkCache::Stats& want = model.stats();
+    ASSERT_EQ(got.insertions, want.insertions);
+    ASSERT_EQ(got.refreshes, want.refreshes);
+    ASSERT_EQ(got.hits, want.hits);
+    ASSERT_EQ(got.misses, want.misses);
+    ASSERT_EQ(got.verify_failures, want.verify_failures);
+    ASSERT_EQ(got.evictions, want.evictions);
+    ASSERT_EQ(cache.bytes(), model.bytes());
+    ASSERT_EQ(cache.entries(), model.entries());
+    ASSERT_EQ(cache.Keys(), model.Keys());
+  }
+  const ChunkCache::Stats& stats = cache.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.verify_failures, 0u);
+  EXPECT_GT(stats.refreshes, 0u);
+#if FLUX_TRACE_ENABLED
+  const std::vector<FlightEventView> got = events.Snapshot();
+  ASSERT_EQ(got.size(), model.events().size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].subsystem, flight_events::kSubCache);
+    EXPECT_EQ(got[i].name, flight_events::kCacheVerifyFailure);
+    EXPECT_EQ(got[i].arg0, model.events()[i].first) << "event " << i;
+    EXPECT_EQ(got[i].arg1, model.events()[i].second) << "event " << i;
+  }
+#endif  // FLUX_TRACE_ENABLED
+}
+
+// VerifyBatch's views stay valid until the next call that modifies the
+// cache, for content inside the slot array and on the heap alike: calls
+// that only read leave them intact, and SettleBatch settles from them as a
+// HasValid loop would.
+TEST(ChunkCacheTest, VerifyBatchViewsLastUntilTheNextModifyingCall) {
+  const std::vector<Bytes> contents = {Bytes(3, 0x11), Bytes(24, 0x22),
+                                       Bytes(25, 0x33), Bytes(4096, 0x44)};
+  std::vector<Hash128> keys;
+  ChunkCache cache(/*budget_bytes=*/1 << 20);
+  for (const Bytes& content : contents) {
+    keys.push_back(FluxHash128(ByteSpan(content.data(), content.size())));
+    cache.Insert(keys.back(), ByteSpan(content.data(), content.size()));
+  }
+  ASSERT_TRUE(cache.PoisonForTest(keys[1]));
+  ThreadPool pool(4);
+  const std::vector<std::optional<ByteSpan>> views =
+      cache.VerifyBatch(keys, &pool);
+  ASSERT_EQ(views.size(), keys.size());
+
+  // Reads in between: keys, stats, a second verify.
+  EXPECT_EQ(cache.Keys().size(), keys.size());
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.VerifyBatch(keys, nullptr).size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    SCOPED_TRACE("entry " + std::to_string(i));
+    if (i == 1) {
+      EXPECT_FALSE(views[i].has_value());  // poisoned
+      continue;
+    }
+    ASSERT_TRUE(views[i].has_value());
+    EXPECT_EQ(Bytes(views[i]->begin(), views[i]->end()), contents[i]);
+  }
+
+  EXPECT_EQ(cache.SettleBatch(keys, views),
+            (std::vector<uint8_t>{1, 0, 1, 1}));
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().verify_failures, 1u);
+  EXPECT_EQ(cache.Keys(), (std::vector<Hash128>{keys[3], keys[2], keys[0]}));
 }
 
 }  // namespace
